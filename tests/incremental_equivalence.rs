@@ -25,7 +25,7 @@ use rtx::rtdb::{
     AdmissionConfig, CacheMode, DecisionSpec, Policy, ReplaySource, RunSummary, SimConfig, Stage,
     Transaction, TxnId, TxnState,
 };
-use rtx::sim::fault::{Brownout, FaultPlan};
+use rtx::sim::fault::{Brownout, CpuFaultPlan, FaultPlan};
 use rtx::sim::{SimDuration, SimTime};
 
 /// Specification of one random transaction (mirrors `prop_system.rs`).
@@ -137,33 +137,23 @@ fn build(specs: &[TxnSpec], cfg: &SimConfig, with_modes: bool) -> Vec<Transactio
         .collect()
 }
 
+/// Run `specs` under `mode`. `faults` injects disk faults on the disk
+/// system; `cpu_faults` adds CPU stalls and slowdowns on either system,
+/// so the CPU-retry abort and restart paths run too.
 fn run_specs_mode(
     specs: &[TxnSpec],
     policy: &dyn Policy,
     disk: bool,
     with_modes: bool,
     faults: bool,
+    cpu_faults: bool,
     mode: CacheMode,
-) -> RunSummary {
-    run_specs_mode_eager(specs, policy, disk, with_modes, faults, mode, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_specs_mode_eager(
-    specs: &[TxnSpec],
-    policy: &dyn Policy,
-    disk: bool,
-    with_modes: bool,
-    faults: bool,
-    mode: CacheMode,
-    eager_migrations: bool,
 ) -> RunSummary {
     let mut cfg = if disk {
         SimConfig::disk_base()
     } else {
         SimConfig::mm_base()
     };
-    cfg.system.eager_migrations = eager_migrations;
     cfg.workload.db_size = DB;
     cfg.run.num_transactions = specs.len();
     if faults && disk {
@@ -182,6 +172,17 @@ fn run_specs_mode_eager(
             }),
             cpu: None,
         };
+    }
+    if cpu_faults {
+        cfg.system.faults.cpu = Some(CpuFaultPlan {
+            stall_prob: 0.1,
+            slow_prob: 0.1,
+            slow_factor: 2.0,
+            retry_budget: 2,
+            backoff_base_ms: 2.0,
+            backoff_cap_ms: 16.0,
+            brownout: None,
+        });
     }
     let txns = build(specs, &cfg, with_modes);
     let n = txns.len();
@@ -203,7 +204,8 @@ proptest! {
 
     /// The incremental engine's trajectory and final metrics equal the
     /// always-recompute oracle on arbitrary workloads, and the Verify
-    /// mode's internal per-use bit-assertions hold throughout.
+    /// mode's internal per-use bit-assertions hold throughout — including
+    /// the CPU-fault abort and restart paths.
     #[test]
     fn incremental_matches_recompute_oracle(
         specs in proptest::collection::vec(txn_spec(), 1..25),
@@ -211,14 +213,15 @@ proptest! {
         with_modes in any::<bool>(),
         faults in any::<bool>(),
         which in 0usize..4,
+        cpu_faults in any::<bool>(),
     ) {
         let p = policy_by_index(which);
-        let oracle =
-            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::AlwaysRecompute);
-        let inc =
-            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::Incremental);
-        let verified =
-            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::Verify);
+        let run = |mode| {
+            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, cpu_faults, mode)
+        };
+        let oracle = run(CacheMode::AlwaysRecompute);
+        let inc = run(CacheMode::Incremental);
+        let verified = run(CacheMode::Verify);
         prop_assert_eq!(
             inc.sans_sched_stats(),
             oracle.sans_sched_stats(),
@@ -272,12 +275,11 @@ proptest! {
         } else {
             Box::new(EdfWait)
         };
-        let oracle =
-            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::AlwaysRecompute);
-        let inc =
-            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::Incremental);
-        let verified =
-            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::Verify);
+        let run =
+            |mode| run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, false, mode);
+        let oracle = run(CacheMode::AlwaysRecompute);
+        let inc = run(CacheMode::Incremental);
+        let verified = run(CacheMode::Verify);
         prop_assert_eq!(
             inc.sans_sched_stats(),
             oracle.sans_sched_stats(),
@@ -431,6 +433,7 @@ fn mpl256_burst_heap_determinism() {
         assert!(inc.sched.heap_validated_picks > 0, "{}", p.name());
         assert!(inc.sched.heap_stale_pops > 0, "{}", p.name());
         assert!(inc.sched.pair_invalidations > 0, "{}", p.name());
+        assert!(verified.sched.verify_checks > 0, "{}", p.name());
         assert_eq!(oracle.sched.heap_pushes, 0, "{}", p.name());
     }
 
@@ -465,12 +468,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Migration batching is an index-maintenance strategy, not a policy
-    /// change: with `eager_migrations` the engine re-walks the runner's
-    /// unsafe set at every compute burst (no membership reuse), while the
-    /// default batched path skips the walk when the timed half already
-    /// mirrors that runner. Both must produce bit-identical trajectories
-    /// on arbitrary workloads — including faults, shared locks, and
-    /// decision narrowing — and both must match the recompute oracle.
+    /// change: the incremental engine skips the walk of a runner's unsafe
+    /// set when the timed half already mirrors that runner, while the
+    /// recompute oracle keeps no index and so never reuses a walk. Both
+    /// must produce bit-identical trajectories on arbitrary workloads —
+    /// including faults, shared locks, and decision narrowing.
     #[test]
     fn batched_migrations_match_eager_walks(
         specs in proptest::collection::vec(txn_spec(), 1..25),
@@ -480,26 +482,18 @@ proptest! {
         which in 0usize..4,
     ) {
         let p = policy_by_index(which);
-        let eager = run_specs_mode_eager(
-            &specs, p.as_ref(), disk, with_modes, faults, CacheMode::Incremental, true);
-        let batched = run_specs_mode_eager(
-            &specs, p.as_ref(), disk, with_modes, faults, CacheMode::Incremental, false);
-        let oracle = run_specs_mode_eager(
-            &specs, p.as_ref(), disk, with_modes, faults, CacheMode::AlwaysRecompute, false);
-        prop_assert_eq!(
-            batched.sans_sched_stats(),
-            eager.sans_sched_stats(),
-            "batched anchor migrations diverged from eager re-walks under {}",
-            p.name()
-        );
+        let batched = run_specs_mode(
+            &specs, p.as_ref(), disk, with_modes, faults, false, CacheMode::Incremental);
+        let oracle = run_specs_mode(
+            &specs, p.as_ref(), disk, with_modes, faults, false, CacheMode::AlwaysRecompute);
         prop_assert_eq!(
             batched.sans_sched_stats(),
             oracle.sans_sched_stats(),
             "batched migrations diverged from the recompute oracle under {}",
             p.name()
         );
-        // Eager mode never reuses a walk, so it reports no batching.
-        prop_assert_eq!(eager.sched.migrations_batched, 0, "{}", p.name());
+        // The oracle never reuses a walk, so it reports no batching.
+        prop_assert_eq!(oracle.sched.migrations_batched, 0, "{}", p.name());
     }
 }
 
