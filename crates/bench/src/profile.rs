@@ -60,9 +60,9 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     if quick {
         // CI smoke: small, mid-size and deep bursts — enough to catch a
         // pick-path regression (cached slower than the oracle, stale-pop
-        // blowup, migration or eviction volume creeping back up) in
-        // seconds. The MPL-256 and MPL-1024 cells are what the CI
-        // regression gate compares against its checked-in baselines.
+        // blowup, eviction volume creeping back up) in seconds. The
+        // MPL-256 and MPL-1024 cells are what the CI regression gate
+        // compares against its checked-in baselines.
         return vec![
             Scenario {
                 name: "mm_cca_burst_mpl64",
@@ -84,7 +84,7 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             },
         ];
     }
-    // Split-index-vs-scan across MPL for both ConflictState policies,
+    // Indexed-vs-scan across MPL for both ConflictState policies,
     // plus the slack-ordered index for LSF (TimeAndSelf).
     let mut out = vec![
         Scenario {
@@ -184,10 +184,7 @@ fn run_cell(
         cell.sched.pair_cache_evictions += s.sched.pair_cache_evictions;
         cell.sched.clear_repair_clears += s.sched.clear_repair_clears;
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
-        cell.sched.index_migrations += s.sched.index_migrations;
-        cell.sched.migrations_batched += s.sched.migrations_batched;
         cell.sched.pair_cache_probes += s.sched.pair_cache_probes;
-        cell.sched.frozen_compactions += s.sched.frozen_compactions;
         cell.sched.verify_checks += s.sched.verify_checks;
         cell.sched.sched_wall_ns += s.sched.sched_wall_ns;
         cell.committed += s.committed;
@@ -208,8 +205,7 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_invalidations\": {},\n\
          {indent}  \"pair_cache_evictions\": {},\n{indent}  \"pair_cache_probes\": {},\n\
          {indent}  \"clear_repair_clears\": {},\n\
-         {indent}  \"clear_repair_visits\": {},\n{indent}  \"index_migrations\": {},\n\
-         {indent}  \"migrations_batched\": {},\n{indent}  \"frozen_compactions\": {},\n\
+         {indent}  \"clear_repair_visits\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
         cell.sched.sched_wall_ns,
         cell.pick_ns(),
@@ -226,9 +222,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.pair_cache_probes,
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,
-        cell.sched.index_migrations,
-        cell.sched.migrations_batched,
-        cell.sched.frozen_compactions,
         cell.committed,
     )
 }
@@ -250,16 +243,10 @@ pub struct ScenarioSummary {
     pub sched_speedup: f64,
     /// Deterministic counters from the incremental cell.
     pub heap_stale_pops: u64,
-    /// Timed-half membership walks actually performed.
-    pub index_migrations: u64,
-    /// Compute bursts whose membership walk was skipped entirely.
-    pub migrations_batched: u64,
     /// Pair-cache entries dropped to make room.
     pub pair_cache_evictions: u64,
     /// Pair-cache victim-way probes after a primary-way miss.
     pub pair_cache_probes: u64,
-    /// Timed-half frozen-entry compaction passes.
-    pub frozen_compactions: u64,
 }
 
 /// Run the scheduler-overhead profile and render both JSON documents:
@@ -317,9 +304,8 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
              \"mpl\": {},\n      \"cached_pick_ns\": {:.1},\n      \
              \"oracle_pick_ns\": {:.1},\n      \"sched_speedup\": {:.2},\n      \
              \"heap_stale_pops\": {},\n      \"clear_repair_clears\": {},\n      \
-             \"clear_repair_visits\": {},\n      \"index_migrations\": {},\n      \
-             \"migrations_batched\": {},\n      \"pair_cache_evictions\": {},\n      \
-             \"pair_cache_probes\": {},\n      \"frozen_compactions\": {}\n    }}",
+             \"clear_repair_visits\": {},\n      \"pair_cache_evictions\": {},\n      \
+             \"pair_cache_probes\": {}\n    }}",
             sc.name,
             policy.name(),
             sc.cfg.run.num_transactions,
@@ -329,11 +315,8 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached.sched.heap_stale_pops,
             cached.sched.clear_repair_clears,
             cached.sched.clear_repair_visits,
-            cached.sched.index_migrations,
-            cached.sched.migrations_batched,
             cached.sched.pair_cache_evictions,
             cached.sched.pair_cache_probes,
-            cached.sched.frozen_compactions,
         ));
         rows.push(ScenarioSummary {
             name: sc.name.to_string(),
@@ -342,11 +325,8 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached_pick_ns: cached.pick_ns(),
             sched_speedup: speedup,
             heap_stale_pops: cached.sched.heap_stale_pops,
-            index_migrations: cached.sched.index_migrations,
-            migrations_batched: cached.sched.migrations_batched,
             pair_cache_evictions: cached.sched.pair_cache_evictions,
             pair_cache_probes: cached.sched.pair_cache_probes,
-            frozen_compactions: cached.sched.frozen_compactions,
         });
     }
     let full = format!(

@@ -124,7 +124,7 @@ struct PriorityIndex {
     /// The heap slots (max-heap by [`HeapEntry::cmp`]).
     slots: Vec<HeapEntry>,
     /// Transaction id → slot position + 1; 0 = not in the index. Grown
-    /// on demand at insert (bands only ever see a subset of ids).
+    /// on demand at insert.
     pos: Vec<u32>,
 }
 
@@ -147,9 +147,7 @@ impl PriorityIndex {
     }
 
     /// Insert an entry for a transaction not currently indexed. Grows
-    /// the position vector on demand — indexes created after ids were
-    /// issued (the lazily-materialized slack bands) never saw a
-    /// [`PriorityIndex::register`] for them.
+    /// the position vector on demand.
     fn insert(&mut self, e: HeapEntry) {
         debug_assert!(!self.contains(e.id), "{} already indexed", e.id);
         let slot = e.id.0 as usize;
@@ -242,318 +240,21 @@ impl PriorityIndex {
         self.pos[e.id.0 as usize] = i as u32 + 1;
     }
 
-    /// All current entries, heap order (used to enumerate a half during
-    /// anchor migration; order does not matter to callers).
+    /// Insert `e`, or reposition `e.id` under `e.pri` if already indexed.
+    fn upsert(&mut self, e: HeapEntry) {
+        if !self.set_key(e.id, e.pri) {
+            self.insert(e);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// All current entries, heap order (consistency checks only; order
+    /// does not matter to callers).
     fn entries(&self) -> &[HeapEntry] {
         &self.slots
-    }
-}
-
-/// One deadline band of the slack index (see [`SlackBands`]).
-#[derive(Default)]
-struct SlackBand {
-    index: PriorityIndex,
-    /// Largest |K| ever stored in this band and largest member deadline
-    /// (ms): together with the clock, every magnitude its members'
-    /// priority-rounding chains touch. Never shrinks — the scale backs
-    /// soundness, not tightness.
-    key_scale: Cell<f64>,
-}
-
-impl SlackBand {
-    /// The nudge scale for this band's effective bounds at clock
-    /// `now_ms`: 32 ulp of it dominates the few-ulp difference between
-    /// `now_ms + K` and the policy's actually-rounded priority for any
-    /// member — all of a member's own magnitudes (its deadline, its key,
-    /// the clock) are covered.
-    fn eff_scale(&self, now_ms: f64) -> f64 {
-        self.key_scale.get().max(now_ms).max(1.0)
-    }
-}
-
-/// The slack index, partitioned by deadline band: each band is a heap
-/// over time-invariant keys `K` with its *own* magnitude scale for the
-/// validation nudge, so one far-future deadline (a huge `|K|`) no longer
-/// loosens the effective bound of every entry in the run — only of its
-/// own band. Entries never migrate: a transaction's band is a pure
-/// function of its (immutable) deadline.
-#[derive(Default)]
-struct SlackBands {
-    /// Lazily materialized; a band is created the first time an entry
-    /// lands in it.
-    bands: Vec<SlackBand>,
-    /// Total entries across bands (O(1) coverage check for
-    /// `slack_in_use`).
-    len: usize,
-}
-
-impl SlackBands {
-    /// The band for a transaction: the log2 bucket of its absolute
-    /// deadline in ms. Integer bit-ops only — no libm calls — so band
-    /// assignment is bit-deterministic across platforms. (Banding never
-    /// affects *results* either way — picks validate exact priorities —
-    /// only which band's scale a bound is nudged by.)
-    fn band_of(deadline: SimTime) -> usize {
-        let ms = (deadline.as_ms() as u64).max(1);
-        (63 - ms.leading_zeros()) as usize
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The band, materializing it (and any gap below) on first use.
-    fn band_mut(&mut self, b: usize) -> &mut SlackBand {
-        if self.bands.len() <= b {
-            self.bands.resize_with(b + 1, SlackBand::default);
-        }
-        &mut self.bands[b]
-    }
-
-    /// (Re)key `e.id` in band `b`; inserts if absent.
-    fn upsert(&mut self, b: usize, e: HeapEntry) {
-        let band = self.band_mut(b);
-        if !band.index.set_key(e.id, e.pri) {
-            band.index.insert(e);
-            self.len += 1;
-        }
-    }
-
-    /// Remove `id` from band `b` (a departed transaction). Returns
-    /// whether it was present.
-    fn remove(&mut self, b: usize, id: TxnId) -> bool {
-        let Some(band) = self.bands.get_mut(b) else {
-            return false;
-        };
-        let removed = band.index.remove(id);
-        if removed {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    /// `id`'s current key in band `b`, if indexed.
-    fn key_of(&self, b: usize, id: TxnId) -> Option<Priority> {
-        self.bands.get(b)?.index.key_of(id)
-    }
-}
-
-/// Which half of the [`SplitIndex`] an entry lives in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Half {
-    /// Keys are bit-identical to the cached value (or a repaired bound)
-    /// and hold still between structural events.
-    Free,
-    /// Keys store `bound + A(t_write)` where `A` is the engine's global
-    /// fall accumulator, so the *effective* bound `key − A(now)` falls
-    /// with the anchored runner's accruing service while the stored key
-    /// never moves. Holds exactly the entries whose true priority is
-    /// falling: those unsafe w.r.t. the anchored runner (plus entries
-    /// frozen in place after the anchor ended, whose folded bounds are
-    /// then simply constant and still sound).
-    Timed,
-}
-
-/// The split lazy priority index.
-///
-/// PR 4's single index demoted every runner-conflicting key at every
-/// pick while the runner's service accrued — O(conflicting) evals per
-/// scheduling point at high MPL. Splitting the index by *how* a key
-/// decays turns that into O(1): runner-free keys don't move at all, and
-/// runner-conflicting keys all fall at the same policy-declared rate
-/// ([`crate::policy::PriorityDeps::ConflictState::runner_fall_rate`]),
-/// so one shared offset `A(now)` stands in for all of their falls. Keys
-/// migrate between halves only at structural events (anchor changes,
-/// cache writes), each migration O(log n) and counted.
-/// Tag bit marking a timed-half position in [`SplitIndex::pos`].
-const TIMED_TAG: u32 = 1 << 31;
-
-#[derive(Default)]
-struct SplitIndex {
-    /// Free-half heap slots (max-heap by [`HeapEntry::cmp`]).
-    free: Vec<HeapEntry>,
-    /// Timed-half heap slots.
-    timed: Vec<HeapEntry>,
-    /// id → tagged slot position: 0 = absent, else `pos + 1` with
-    /// [`TIMED_TAG`] set for the timed half. One dense lane answers
-    /// presence, half, and position in a single lookup — the old
-    /// two-`PriorityIndex` layout paid a miss in one `pos` vector
-    /// before hitting the other on every cross-half question.
-    pos: Vec<u32>,
-}
-
-// Hole-based heap sifts over one half's slots and the shared tagged
-// position lane: parents/children shift into place one write each, and
-// the displaced entry lands once at the end.
-
-fn split_sift_up(slots: &mut [HeapEntry], pos: &mut [u32], tag: u32, mut i: usize) {
-    let e = slots[i];
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if e <= slots[parent] {
-            break;
-        }
-        slots[i] = slots[parent];
-        pos[slots[i].id.0 as usize] = (i as u32 + 1) | tag;
-        i = parent;
-    }
-    slots[i] = e;
-    pos[e.id.0 as usize] = (i as u32 + 1) | tag;
-}
-
-fn split_sift_down(slots: &mut [HeapEntry], pos: &mut [u32], tag: u32, mut i: usize) {
-    let e = slots[i];
-    loop {
-        let l = 2 * i + 1;
-        if l >= slots.len() {
-            break;
-        }
-        let r = l + 1;
-        let child = if r < slots.len() && slots[r] > slots[l] {
-            r
-        } else {
-            l
-        };
-        if slots[child] <= e {
-            break;
-        }
-        slots[i] = slots[child];
-        pos[slots[i].id.0 as usize] = (i as u32 + 1) | tag;
-        i = child;
-    }
-    slots[i] = e;
-    pos[e.id.0 as usize] = (i as u32 + 1) | tag;
-}
-
-impl SplitIndex {
-    fn register(&mut self) {
-        self.pos.push(0);
-    }
-
-    fn len(&self) -> usize {
-        self.free.len() + self.timed.len()
-    }
-
-    fn half_len(&self, h: Half) -> usize {
-        self.slots(h).len()
-    }
-
-    fn slots(&self, h: Half) -> &[HeapEntry] {
-        match h {
-            Half::Free => &self.free,
-            Half::Timed => &self.timed,
-        }
-    }
-
-    /// One half's slots, the shared position lane, and the half's
-    /// position tag — the disjoint borrows every mutation needs.
-    fn parts(&mut self, h: Half) -> (&mut Vec<HeapEntry>, &mut Vec<u32>, u32) {
-        match h {
-            Half::Free => (&mut self.free, &mut self.pos, 0),
-            Half::Timed => (&mut self.timed, &mut self.pos, TIMED_TAG),
-        }
-    }
-
-    fn half_of(&self, id: TxnId) -> Option<Half> {
-        match self.pos[id.0 as usize] {
-            0 => None,
-            p if p & TIMED_TAG != 0 => Some(Half::Timed),
-            _ => Some(Half::Free),
-        }
-    }
-
-    /// The maximum entry of one half, if any. O(1).
-    fn peek(&self, h: Half) -> Option<HeapEntry> {
-        self.slots(h).first().copied()
-    }
-
-    /// All current entries of one half, heap order (used to enumerate a
-    /// half during anchor migration; order does not matter to callers).
-    fn entries(&self, h: Half) -> &[HeapEntry] {
-        self.slots(h)
-    }
-
-    /// `id`'s stored key and half, if indexed. One lookup.
-    fn key_of(&self, id: TxnId) -> Option<(Priority, Half)> {
-        let p = self.pos[id.0 as usize];
-        if p == 0 {
-            return None;
-        }
-        let h = if p & TIMED_TAG != 0 {
-            Half::Timed
-        } else {
-            Half::Free
-        };
-        let i = ((p & !TIMED_TAG) - 1) as usize;
-        Some((self.slots(h)[i].pri, h))
-    }
-
-    /// `id`'s key if it lives in half `h` (migration walks enumerate a
-    /// half and then operate on its members).
-    fn key_in(&self, h: Half, id: TxnId) -> Option<Priority> {
-        match self.key_of(id) {
-            Some((k, half)) if half == h => Some(k),
-            _ => None,
-        }
-    }
-
-    /// Insert an entry for a transaction not currently indexed.
-    fn insert(&mut self, h: Half, e: HeapEntry) {
-        debug_assert!(self.half_of(e.id).is_none(), "{} already indexed", e.id);
-        let (slots, pos, tag) = self.parts(h);
-        let i = slots.len();
-        slots.push(e);
-        pos[e.id.0 as usize] = (i as u32 + 1) | tag;
-        split_sift_up(slots, pos, tag, i);
-    }
-
-    /// Remove `id`'s entry from whichever half holds it. Returns whether
-    /// it was present.
-    fn remove(&mut self, id: TxnId) -> bool {
-        let p = self.pos[id.0 as usize];
-        if p == 0 {
-            return false;
-        }
-        let h = if p & TIMED_TAG != 0 {
-            Half::Timed
-        } else {
-            Half::Free
-        };
-        let i = ((p & !TIMED_TAG) - 1) as usize;
-        self.pos[id.0 as usize] = 0;
-        let (slots, pos, tag) = self.parts(h);
-        let last = slots.len() - 1;
-        if i != last {
-            slots.swap(i, last);
-            pos[slots[i].id.0 as usize] = (i as u32 + 1) | tag;
-        }
-        slots.pop();
-        if i < slots.len() {
-            // The displaced entry can need to move either way.
-            split_sift_up(slots, pos, tag, i);
-            split_sift_down(slots, pos, tag, i);
-        }
-        true
-    }
-
-    /// Reposition `id` under a new key within its current half (raise or
-    /// lower). Returns whether it was present.
-    fn set_key(&mut self, id: TxnId, pri: Priority) -> bool {
-        let p = self.pos[id.0 as usize];
-        if p == 0 {
-            return false;
-        }
-        let h = if p & TIMED_TAG != 0 {
-            Half::Timed
-        } else {
-            Half::Free
-        };
-        let i = ((p & !TIMED_TAG) - 1) as usize;
-        let (slots, pos, tag) = self.parts(h);
-        slots[i].pri = pri;
-        split_sift_up(slots, pos, tag, i);
-        split_sift_down(slots, pos, tag, i);
-        true
     }
 }
 
@@ -627,60 +328,32 @@ struct EngineState<'p> {
     /// at MPL ≥ 1024 the tag vector stays resident in a few cache lines
     /// while the transaction structs span megabytes.
     state_tags: Vec<TxnState>,
-    /// The split lazy priority index over active transactions (used for
+    /// The lazy priority index over active transactions (used for
     /// `Static` and `ConflictState` policies outside `AlwaysRecompute`).
-    /// Exactly one entry per active transaction across the two halves —
-    /// seeded at arrival, repositioned in place whenever the cache is
-    /// written, and removed at commit. Invariant: an active
-    /// transaction's *free*-half key is bit-identical to its cached
-    /// priority in the accelerator's slot arena; a *timed*-half key
-    /// folded back by the fall accumulator (`key − A(now)`, with float
-    /// slack) is an upper bound on it.
-    index: RefCell<SplitIndex>,
+    /// Exactly one entry per active transaction — seeded at arrival,
+    /// repositioned in place whenever the cache is written, and removed
+    /// at commit. Invariant: an active transaction's key is bit-identical
+    /// to its cached priority in the accelerator's slot arena, itself an
+    /// upper bound on the exact priority (falls are tolerated lazily and
+    /// demoted by the validated pick).
+    index: RefCell<PriorityIndex>,
     /// Slack-ordered pick index for `TimeAndSelf` policies exposing a
     /// time-invariant key (`Policy::time_invariant_key`; LSF): keys hold
     /// `K` with `priority ≈ now + K`, so the order is the priority order
     /// at every instant and picks validate the top instead of rescanning
-    /// the active set. Partitioned into per-deadline bands, each with
-    /// its own validation-nudge scale ([`SlackBands`]).
-    slack: RefCell<SlackBands>,
-    /// The policy's declared runner fall rate (`ConflictState` policies;
-    /// 0 elsewhere): priority units per ms of runner compute time.
-    fall_rate: f64,
-    /// Fall accumulated over *completed* anchored compute spans, in
-    /// priority units. `A(now) = offset_base + fall_rate · (now − t0)`
-    /// while anchored at `t0`, else `offset_base`.
-    offset_base: Cell<f64>,
-    /// `Some((runner, t0))` while the runner's compute burst accrues
-    /// service: the timed half's effective bounds fall at `fall_rate`
-    /// from `t0` until the anchor is released.
-    anchor: Cell<Option<(TxnId, SimTime)>>,
-    /// The runner whose unsafe set the timed half currently mirrors
-    /// (set by the migration walks at [`Self::anchor_timed`]). When the
-    /// next anchored runner is the same transaction and no conflict
-    /// clear or decision narrowing intervened, the walks are skipped
-    /// wholesale — the timed membership is still a subset of the
-    /// runner's unsafe set, which is all soundness needs (the counter
-    /// `migrations_batched` tallies these reuses). Any event that can
-    /// *remove* an unsafe pair (a clear's repair walk, a narrowing)
-    /// resets this to `None`, forcing a fresh walk at the next anchor.
-    walked: Cell<Option<TxnId>>,
-    /// Consecutive anchor releases that left frozen entries lingering in
-    /// the timed half; at [`FROZEN_COMPACT_SPANS`] the half is scanned
-    /// and non-members folded out ([`Self::maybe_compact_frozen`]).
-    frozen_spans: Cell<u32>,
-    /// Scratch buffer for filtered picks (IOwait-schedule): entries of
-    /// unacceptable transactions are lifted out while scanning and
-    /// re-inserted afterwards; reused to avoid per-pick allocation.
-    scratch: RefCell<Vec<(HeapEntry, Half)>>,
-    /// Scratch for slack-band picks: popped entries tagged with their
-    /// band, re-inserted after the argmax settles.
-    slack_scratch: RefCell<Vec<(HeapEntry, usize)>>,
+    /// the active set.
+    slack: RefCell<PriorityIndex>,
+    /// Largest |K| ever stored in the slack index and largest member
+    /// deadline (ms): together with the clock, every magnitude a member's
+    /// priority-rounding chain touches (see [`Self::slack_bound`]). Never
+    /// shrinks — the scale backs soundness, not tightness.
+    slack_scale: Cell<f64>,
+    /// Scratch buffer for the validated-argmax picks: entries lifted out
+    /// while scanning are re-inserted afterwards; reused to avoid
+    /// per-pick allocation.
+    scratch: RefCell<Vec<HeapEntry>>,
     /// Scratch buffer for the targeted pair-stamp walks.
     walk_buf: Vec<TxnId>,
-    /// Scratch buffer for the anchor-arming and compaction walks, which
-    /// run from `&self` pick paths and so cannot take `walk_buf`.
-    arm_buf: RefCell<Vec<TxnId>>,
     /// Scratch buffer for reverse-index sharer enumeration.
     sharer_buf: RefCell<Vec<TxnId>>,
     // Scheduler-overhead tallies (Cells: bumped from &self paths).
@@ -697,23 +370,7 @@ struct EngineState<'p> {
     /// with MPL, which is the reverse index's point.
     clear_repair_clears: Cell<u64>,
     clear_repair_visits: Cell<u64>,
-    /// Entries moved between split-index halves (anchor changes and
-    /// cross-half cache writes).
-    index_migrations: Cell<u64>,
-    /// Compute bursts that reused the previous walk's timed-half
-    /// membership — their migration walks were skipped entirely.
-    migrations_batched: Cell<u64>,
-    /// Timed-half drains performed by [`Self::maybe_compact_frozen`].
-    frozen_compactions: Cell<u64>,
 }
-
-/// How many consecutive anchor releases may pass before
-/// [`EngineState::maybe_compact_frozen`] scans the frozen timed half and
-/// folds out entries that are no longer members of the mirrored unsafe
-/// set. Bounds how long a leftover can linger (and with it the offset's
-/// monotone growth) in long mostly-idle runs where a handful of frozen
-/// entries would otherwise sit across thousands of spans.
-const FROZEN_COMPACT_SPANS: u32 = 256;
 
 /// `v` plus a floating-point safety margin: used when repairing a cached
 /// upper bound by an exact real-arithmetic delta, so the repaired key
@@ -788,26 +445,11 @@ impl<'p> EngineState<'p> {
             accel: ConflictAccel::new(cfg.run.num_transactions, cfg.workload.db_size as usize),
             ready_count: 0,
             state_tags: Vec::with_capacity(cfg.run.num_transactions),
-            index: RefCell::new(SplitIndex::default()),
-            slack: RefCell::new(SlackBands::default()),
-            fall_rate: match policy.depends_on() {
-                PriorityDeps::ConflictState { runner_fall_rate } => {
-                    assert!(
-                        runner_fall_rate.is_finite() && runner_fall_rate >= 0.0,
-                        "runner fall rate must be finite and non-negative"
-                    );
-                    runner_fall_rate
-                }
-                _ => 0.0,
-            },
-            offset_base: Cell::new(0.0),
-            anchor: Cell::new(None),
-            walked: Cell::new(None),
-            frozen_spans: Cell::new(0),
+            index: RefCell::new(PriorityIndex::default()),
+            slack: RefCell::new(PriorityIndex::default()),
+            slack_scale: Cell::new(0.0),
             scratch: RefCell::new(Vec::new()),
-            slack_scratch: RefCell::new(Vec::new()),
             walk_buf: Vec::new(),
-            arm_buf: RefCell::new(Vec::new()),
             sharer_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
             priority_evals: Cell::new(0),
@@ -819,9 +461,6 @@ impl<'p> EngineState<'p> {
             verify_checks: Cell::new(0),
             clear_repair_clears: Cell::new(0),
             clear_repair_visits: Cell::new(0),
-            index_migrations: Cell::new(0),
-            migrations_batched: Cell::new(0),
-            frozen_compactions: Cell::new(0),
         }
     }
 
@@ -836,7 +475,7 @@ impl<'p> EngineState<'p> {
         self.mode != CacheMode::AlwaysRecompute
             && matches!(
                 self.policy.depends_on(),
-                PriorityDeps::Static | PriorityDeps::ConflictState { .. }
+                PriorityDeps::Static | PriorityDeps::ConflictState
             )
     }
 
@@ -868,314 +507,26 @@ impl<'p> EngineState<'p> {
         let Some(k) = self.policy.time_invariant_key(t) else {
             return;
         };
-        let b = SlackBands::band_of(t.deadline);
-        let mut slack = self.slack.borrow_mut();
-        let band = slack.band_mut(b);
-        band.key_scale
-            .set(band.key_scale.get().max(k.abs()).max(t.deadline.as_ms()));
-        slack.upsert(
-            b,
-            HeapEntry {
-                pri: Priority(k),
-                arrival: t.arrival,
-                id,
-            },
-        );
+        self.slack_scale
+            .set(self.slack_scale.get().max(k.abs()).max(t.deadline.as_ms()));
+        self.slack.borrow_mut().upsert(HeapEntry {
+            pri: Priority(k),
+            arrival: t.arrival,
+            id,
+        });
         self.heap_pushes.set(self.heap_pushes.get() + 1);
     }
 
-    /// The fall accumulator `A(now)`: total priority fall every
-    /// runner-unsafe key has accrued since the run started. Monotone
-    /// nondecreasing; grows only while a compute burst is anchored.
-    fn fall_offset_now(&self) -> f64 {
-        let base = self.offset_base.get();
-        match self.anchor.get() {
-            Some((_, t0)) => base + self.fall_rate * self.now().since(t0).as_ms(),
-            None => base,
-        }
-    }
-
-    /// The runner whose unsafe set the timed half currently tracks: the
-    /// anchored runner while a burst is on the CPU, else the last-walked
-    /// runner whose membership the half still mirrors (the half stays
-    /// frozen — but valid — between the bursts of a runner's streak).
-    /// `None` disables timed enrollment.
-    #[inline]
-    fn timed_target(&self) -> Option<TxnId> {
-        self.anchor
-            .get()
-            .map(|(r, _)| r)
-            .or_else(|| self.walked.get())
-    }
-
-    /// The key and half for `id`'s index entry given its cached bound
-    /// `value`: timed iff `id` is unsafe w.r.t. the timed half's target
-    /// runner (exactly the keys that fall at `fall_rate` while that
-    /// runner computes), with the fall offset folded in so the stored
-    /// key holds still while the effective bound falls. Enrolling while
-    /// the half is frozen (between a streak's bursts) is sound — the
-    /// effective bound equals `value` until the next anchor resumes the
-    /// fall — and is what lets boundary-pick re-parks rejoin the falling
-    /// band instead of going stale in the free half.
-    fn entry_key_for(&self, id: TxnId, value: Priority) -> (Priority, Half) {
-        if self.fall_rate > 0.0 {
-            if let Some(r) = self.timed_target() {
-                if r != id && self.accel.is_unsafe(self.txn(r), self.txn(id)) {
-                    let a = self.fall_offset_now();
-                    let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
-                    return (key, Half::Timed);
-                }
-            }
-        }
-        (value, Half::Free)
-    }
-
-    /// The effective upper bound a timed-half key stands for right now.
-    fn timed_effective(&self, key: Priority, a: f64) -> Priority {
-        Priority(nudge_up(key.0 - a, key.0.abs().max(a)))
-    }
-
-    /// [`Self::entry_key_for`] for *cache-write* upserts: an entry not
-    /// already in the timed half enrolls only if the falling band can
-    /// still reach its bound — the band's top effective bound falls at
-    /// most `fall_rate ×` the target's remaining compute before the
-    /// streak ends and the next walk re-decides membership, so a write
-    /// that lands deeper than that would migrate an entry no pick can
-    /// observe in the band. Leaving it in the free half is sound (its
-    /// exact key holds still while the member priorities fall — stale
-    /// *high*), and cheap: most such writes are conflict-raise repairs of
-    /// far-from-the-top blocked transactions that get re-keyed again long
-    /// before they matter. Entries already enrolled keep their
-    /// membership, so the walks' mirror stays complete. The depth test is
-    /// a performance heuristic only — either outcome keeps every key an
-    /// upper bound.
-    fn entry_key_for_write(&self, id: TxnId, value: Priority) -> (Priority, Half) {
-        if self.fall_rate > 0.0 {
-            if let Some(r) = self.timed_target() {
-                if r != id && self.accel.is_unsafe(self.txn(r), self.txn(id)) {
-                    let enroll = {
-                        let index = self.index.borrow();
-                        match index.half_of(id) {
-                            Some(Half::Timed) => true,
-                            _ => match index.peek(Half::Timed) {
-                                None => true,
-                                Some(top) => {
-                                    let t = self.txn(r);
-                                    let rem = self.fall_rate
-                                        * (t.resource_time.as_ms() - t.service.as_ms()).max(0.0);
-                                    let band =
-                                        self.timed_effective(top.pri, self.fall_offset_now());
-                                    value.0 >= band.0 - rem
-                                }
-                            },
-                        }
-                    };
-                    if enroll {
-                        let a = self.fall_offset_now();
-                        let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
-                        return (key, Half::Timed);
-                    }
-                }
-            }
-        }
-        (value, Half::Free)
-    }
-
-    /// Anchor runner `r`'s starting compute burst: from now until the
-    /// burst ends, the fall accumulator accrues and exactly the
-    /// priorities unsafe w.r.t. `r` fall at `fall_rate`. The migration
-    /// walks that (re)populate the timed half run only when the half does
-    /// not already mirror `r`'s unsafe set — same runner as the last
-    /// walk, and no conflict-set clear or narrowing since (tracked by
-    /// `walked`). A runner committing or being preempted and re-granted
-    /// repeatedly — the high-MPL steady state — pays the walks once per
-    /// streak, not once per burst (`migrations_batched` counts the
-    /// skips). Reuse is sound: between walks `r`'s sets only grow
-    /// (missing pairs leave keys stale-*high*, which the validated pick
-    /// tolerates) and members only stop being unsafe on clears or
-    /// narrowings, which invalidate `walked`.
-    fn anchor_timed(&mut self, r: TxnId) {
-        if self.fall_rate == 0.0 || !self.heap_in_use() {
-            return;
-        }
-        debug_assert!(self.anchor.get().is_none(), "anchoring while anchored");
-        debug_assert!(
-            self.txn(r).is_partially_executed(),
-            "compute bursts only run after a lock grant"
-        );
-        self.anchor.set(Some((r, self.now())));
-        if self.walked.get() == Some(r) {
-            self.migrations_batched
-                .set(self.migrations_batched.get() + 1);
-            return;
-        }
-        self.run_migration_walks(r);
-        self.walked.set(Some(r));
-    }
-
-    /// The anchor's migration walks. O(affected), not O(active): timed
-    /// entries that are not unsafe w.r.t. `r` fold back to the free half
-    /// (their effective bound is constant again), and the free entries to
-    /// pull in are enumerated through the item→transaction reverse index
-    /// — any transaction unsafe w.r.t. `r` shares an item with
-    /// `r.accessed`.
-    fn run_migration_walks(&self, r: TxnId) {
-        let a = self.offset_base.get();
-        let mut movers = self.arm_buf.borrow_mut();
-        movers.clear();
-        {
-            let index = self.index.borrow();
-            let rt = self.txn(r);
-            for e in index.entries(Half::Timed) {
-                if e.id == r || !self.accel.is_unsafe(rt, self.txn(e.id)) {
-                    movers.push(e.id);
-                }
-            }
-        }
-        self.fold_out_timed(&movers, a);
-        movers.clear();
-        {
-            let mut sharers = self.sharer_buf.borrow_mut();
-            self.accel.sharers(&self.txn(r).accessed, &mut sharers);
-            let index = self.index.borrow();
-            let rt = self.txn(r);
-            for &x in sharers.iter() {
-                if x != r
-                    && index.half_of(x) == Some(Half::Free)
-                    && self.accel.is_unsafe(rt, self.txn(x))
-                {
-                    movers.push(x);
-                }
-            }
-        }
-        for &x in movers.iter() {
-            let mut index = self.index.borrow_mut();
-            let bound = index
-                .key_in(Half::Free, x)
-                .expect("enumerated from free half");
-            index.remove(x);
-            let key = Priority(nudge_up(bound.0 + a, bound.0.abs().max(a)));
-            index.insert(
-                Half::Timed,
-                HeapEntry {
-                    pri: key,
-                    arrival: self.txn(x).arrival,
-                    id: x,
-                },
-            );
-            self.index_migrations.set(self.index_migrations.get() + 1);
-        }
-        movers.clear();
-    }
-
-    /// Fold the listed timed-half entries back to the free half at fall
-    /// offset `a`, rewriting each cache entry to the folded bound so the
-    /// cache stays bit-identical to the free-half key (both stay upper
-    /// bounds — the write only loosens by the fold's ULP slack).
-    fn fold_out_timed(&self, ids: &[TxnId], a: f64) {
-        for &x in ids {
-            let mut index = self.index.borrow_mut();
-            let key = index
-                .key_in(Half::Timed, x)
-                .expect("enumerated from timed half");
-            index.remove(x);
-            let bound = self.timed_effective(key, a);
-            debug_assert!(
-                self.accel.slot(x).pri_valid(),
-                "{x}: indexed transaction without cache entry"
-            );
-            self.accel.write_pri(x, bound, self.now());
-            index.insert(
-                Half::Free,
-                HeapEntry {
-                    pri: bound,
-                    arrival: self.txn(x).arrival,
-                    id: x,
-                },
-            );
-            self.index_migrations.set(self.index_migrations.get() + 1);
-        }
-    }
-
-    /// End the anchored compute span (burst completion or preemption):
-    /// fold the span's fall into `offset_base`. Timed entries stay where
-    /// they are — their effective bounds simply stop falling, which keeps
-    /// them sound and lets the next burst by the same runner reuse them —
-    /// and drain back to the free half lazily at the next walk or cache
-    /// write, with [`Self::maybe_compact_frozen`] as the backstop against
-    /// unbounded lingering.
-    fn freeze_timed(&self) {
-        if let Some((_, t0)) = self.anchor.take() {
-            self.offset_base
-                .set(self.offset_base.get() + self.fall_rate * self.now().since(t0).as_ms());
-            self.maybe_compact_frozen();
-        }
-    }
-
-    /// Bound stale-offset accumulation from lazily-drained frozen
-    /// entries. Called at each anchor release: with the timed half empty
-    /// no key encodes the accumulated offset, so it re-zeroes for free;
-    /// otherwise every [`FROZEN_COMPACT_SPANS`] releases the half is
-    /// scanned and entries that are no longer members of the mirrored
-    /// unsafe set — all of them, when no target is mirrored — fold back
-    /// to the free half. The walks keep the live mirror exact, so the
-    /// scan normally moves nothing; it is the backstop against lingering
-    /// should an enrollment path ever outpace the walks. Membership and
-    /// the offset survive a scan that leaves entries behind, so a
-    /// runner's batching streak is not interrupted; the offset re-zeroes
-    /// only when the half drains empty. All of this is invisible to
-    /// results — folds and effective-bound reads always pair a key with
-    /// the offset it was written under.
-    fn maybe_compact_frozen(&self) {
-        if self.index.borrow().half_len(Half::Timed) == 0 {
-            self.offset_base.set(0.0);
-            self.frozen_spans.set(0);
-            self.walked.set(None);
-            return;
-        }
-        let spans = self.frozen_spans.get() + 1;
-        if spans < FROZEN_COMPACT_SPANS {
-            self.frozen_spans.set(spans);
-            return;
-        }
-        self.frozen_spans.set(0);
-        let a = self.offset_base.get();
-        let mut movers = self.arm_buf.borrow_mut();
-        movers.clear();
-        match self.timed_target() {
-            // No target: the half mirrors nobody, so every frozen entry
-            // is a leftover.
-            None => {
-                movers.extend(
-                    self.index
-                        .borrow()
-                        .entries(Half::Timed)
-                        .iter()
-                        .map(|e| e.id),
-                );
-            }
-            // Live mirror: fold out only entries that stopped being
-            // members (the walks keep this set empty in the common case,
-            // so the scan is a cheap amortized verification).
-            Some(r) => {
-                let index = self.index.borrow();
-                let rt = self.txn(r);
-                for e in index.entries(Half::Timed) {
-                    if e.id == r || !self.accel.is_unsafe(rt, self.txn(e.id)) {
-                        movers.push(e.id);
-                    }
-                }
-            }
-        }
-        self.fold_out_timed(&movers, a);
-        movers.clear();
-        drop(movers);
-        if self.index.borrow().half_len(Half::Timed) == 0 {
-            self.offset_base.set(0.0);
-            self.walked.set(None);
-        }
-        self.frozen_compactions
-            .set(self.frozen_compactions.get() + 1);
+    /// The upper bound slack key `k` stands for at clock `now_ms`:
+    /// `now_ms + K` nudged by 32 ulp of the run-global scale, which
+    /// dominates the few-ulp difference between `now_ms + K` and the
+    /// policy's actually-rounded priority for any member (all of a
+    /// member's own magnitudes — its deadline, its key, the clock — are
+    /// covered). One scale for every entry keeps the bound monotone in
+    /// `K`, so the heap top dominates every other entry.
+    fn slack_bound(&self, k: Priority, now_ms: f64) -> Priority {
+        let scale = self.slack_scale.get().max(now_ms).max(1.0);
+        Priority(nudge_up(now_ms + k.0, scale))
     }
 
     /// Record a trace event if tracing is enabled.
@@ -1235,7 +586,7 @@ impl<'p> EngineState<'p> {
     /// stamps; the `AlwaysRecompute` oracle never consults any cache.
     fn targeted_invalidation_active(&self) -> bool {
         self.mode != CacheMode::AlwaysRecompute
-            && matches!(self.policy.depends_on(), PriorityDeps::ConflictState { .. })
+            && matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
     }
 
     /// A lock grant grew `id`'s access sets: record it with the
@@ -1269,15 +620,6 @@ impl<'p> EngineState<'p> {
             self.repair_unsafe_against(id);
         }
         self.accel.note_sets_cleared(id);
-        // A clear shrinks only the unsafe pairs in which the cleared
-        // transaction is the *partial* — `is_unsafe(r, x)` reads `r`'s
-        // accessed/written sets but only `x`'s `might_access`, which a
-        // clear leaves alone. So the walked timed-half membership (pairs
-        // with the last-walked runner as partial) stays valid unless the
-        // cleared transaction *is* that runner.
-        if self.walked.get() == Some(id) {
-            self.walked.set(None);
-        }
     }
 
     /// The targeted per-pair walk on a clear: for every active
@@ -1341,19 +683,8 @@ impl<'p> EngineState<'p> {
                 self.verify_checks.set(self.verify_checks.get() + 1);
             }
         }
-        let a = self.fall_offset_now();
         for &x in &affected {
             self.accel.bump_pair_stamp(x);
-            // Raise from the *tightest* bound available: a timed-half
-            // entry's effective key has been falling with the runner's
-            // service while the cached value stood still, so repairing
-            // from the cache would silently discard every fall the timed
-            // half tracked (and hand the pick loop the stale-high key
-            // back). Both are upper bounds; take the smaller.
-            let folded = match self.index.borrow().key_of(x) {
-                Some((key, Half::Timed)) => Some(self.timed_effective(key, a)),
-                _ => None,
-            };
             let bound = {
                 let s = self.accel.slot(x);
                 debug_assert!(
@@ -1361,12 +692,7 @@ impl<'p> EngineState<'p> {
                     "{x}: active ConflictState transaction without a seeded cache entry"
                 );
                 debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
-                let mut value = s.pri_value;
-                if let Some(f) = folded {
-                    if f < value {
-                        value = f;
-                    }
-                }
+                let value = s.pri_value;
                 Priority(nudge_up(value.0 + raise, value.0.abs().max(raise)))
             };
             self.accel.write_pri(x, bound, self.now());
@@ -1435,13 +761,13 @@ impl<'p> EngineState<'p> {
                     && match deps {
                         PriorityDeps::Static => true,
                         PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                        PriorityDeps::ConflictState { .. } => {
+                        PriorityDeps::ConflictState => {
                             s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
                         }
                         PriorityDeps::Volatile => unreachable!("handled above"),
                     };
                 if hit {
-                    upper_bound_hit = matches!(deps, PriorityDeps::ConflictState { .. });
+                    upper_bound_hit = matches!(deps, PriorityDeps::ConflictState);
                     self.priority_cache_hits
                         .set(self.priority_cache_hits.get() + 1);
                     s.pri_value
@@ -1497,17 +823,18 @@ impl<'p> EngineState<'p> {
         self.priority_exact_impl(id, true)
     }
 
-    /// [`Self::priority_exact`] minus the index write: for pick loops
-    /// that have lifted `id`'s entry out of the index and will reinsert
-    /// it themselves (an upsert here would create a duplicate). Cache
-    /// write, counters and `Verify` assertions are identical.
+    /// [`Self::priority_exact`] minus the index write: for the pick loop,
+    /// which lifts a stale entry out of the index and re-parks it under
+    /// the exact value itself (an in-place re-key here would be a wasted
+    /// sift). Cache write, counters and `Verify` assertions are
+    /// identical.
     fn priority_exact_detached(&self, id: TxnId) -> Priority {
         self.priority_exact_impl(id, false)
     }
 
     fn priority_exact_impl(&self, id: TxnId, write_index: bool) -> Priority {
         if self.mode == CacheMode::AlwaysRecompute
-            || !matches!(self.policy.depends_on(), PriorityDeps::ConflictState { .. })
+            || !matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
         {
             // The delegate is exact for these classes. It only touches
             // the index on a `ConflictState` miss, so a detached caller
@@ -1548,39 +875,13 @@ impl<'p> EngineState<'p> {
 
     /// Move `id`'s index key to `value` in place (or insert it if `id`
     /// has no entry yet) — the index half of every priority-cache write.
-    /// Recomputes which half the entry belongs in (the write may race a
-    /// runner anchor that flipped its membership) and migrates if
-    /// needed. O(log n) sift; never creates a duplicate entry.
+    /// O(log n) sift; never creates a duplicate entry.
     fn index_upsert(&self, id: TxnId, value: Priority) {
-        let (key, half) = self.entry_key_for_write(id, value);
-        let mut index = self.index.borrow_mut();
-        match index.half_of(id) {
-            Some(h) if h == half => {
-                index.set_key(id, key);
-            }
-            Some(_) => {
-                index.remove(id);
-                index.insert(
-                    half,
-                    HeapEntry {
-                        pri: key,
-                        arrival: self.txn(id).arrival,
-                        id,
-                    },
-                );
-                self.index_migrations.set(self.index_migrations.get() + 1);
-            }
-            None => {
-                index.insert(
-                    half,
-                    HeapEntry {
-                        pri: key,
-                        arrival: self.txn(id).arrival,
-                        id,
-                    },
-                );
-            }
-        }
+        self.index.borrow_mut().upsert(HeapEntry {
+            pri: value,
+            arrival: self.txn(id).arrival,
+            id,
+        });
         self.heap_pushes.set(self.heap_pushes.get() + 1);
     }
 
@@ -1595,7 +896,6 @@ impl<'p> EngineState<'p> {
         // version/cache vectors stay dense. Arrival changes no conflict
         // state (a fresh transaction holds nothing), so no epoch bump.
         self.accel.register(id);
-        self.index.borrow_mut().register();
         if self.cfg.system.admission.is_some() {
             self.adm_maybe_roll();
             if !self.feasible(&txn) {
@@ -1756,19 +1056,16 @@ impl<'p> EngineState<'p> {
                 }
             }
             Stage::Compute => {
-                // The anchored span ends exactly where the service it
-                // mirrors stops accruing.
-                self.freeze_timed();
                 if std::mem::take(&mut self.active_cpu_failed) {
                     // Injected transient CPU stall: the burst ran its full
                     // (possibly inflated) length and its result is
-                    // discarded. The effective service still banks — the
-                    // timed index accrued it continuously while the burst
-                    // ran, and cached priority keys must stay upper
-                    // bounds — but no progress is made; the work is
-                    // counted wasted instead, and the update's burst will
-                    // be re-run from scratch (or the transaction
-                    // restarted) by the stall handler.
+                    // discarded. The effective service still banks — it
+                    // accrued continuously while the burst ran, and cached
+                    // priority keys must stay upper bounds — but no
+                    // progress is made; the work is counted wasted
+                    // instead, and the update's burst will be re-run from
+                    // scratch (or the transaction restarted) by the stall
+                    // handler.
                     {
                         let t = self.txn_mut(id);
                         t.service += burst;
@@ -1809,10 +1106,6 @@ impl<'p> EngineState<'p> {
                     if self.heap_in_use() {
                         self.priority_exact(id);
                     }
-                    // The narrowed might-access set can drop this
-                    // transaction out of a runner's unsafe set — timed
-                    // membership may no longer be reusable.
-                    self.walked.set(None);
                 }
                 self.slack_upsert(id);
                 if self.txn(id).progress == self.txn(id).total_updates() {
@@ -2191,12 +1484,6 @@ impl<'p> EngineState<'p> {
         t.burst_start = now;
         let at = now + t.cpu_left;
         self.cpu_event = self.calendar.schedule(at, Event::CpuDone(id));
-        if stage == Stage::Compute {
-            // Only a Compute burst accrues effective service (the quantity
-            // whose growth makes runner-unsafe priorities fall); Recover
-            // bursts leave every cached priority still.
-            self.anchor_timed(id);
-        }
         Started::Scheduled
     }
 
@@ -2397,8 +1684,7 @@ impl<'p> EngineState<'p> {
         if self.heap_in_use() {
             self.index.borrow_mut().remove(id);
         }
-        let band = SlackBands::band_of(self.txn(id).deadline);
-        self.slack.borrow_mut().remove(band, id);
+        self.slack.borrow_mut().remove(id);
         // Departed for good: recycle the committed transaction's arena
         // slot (its id-keyed cache entries die of unreachability).
         self.accel.release(id);
@@ -2481,11 +1767,8 @@ impl<'p> EngineState<'p> {
         if self.mode == CacheMode::Verify {
             self.verify_surviving_entries();
         }
-        if self.heap_in_use() {
-            return self.pick_next_heap();
-        }
-        if self.slack_in_use() {
-            return self.pick_next_slack();
+        if self.heap_in_use() || self.slack_in_use() {
+            return self.pick_next_indexed();
         }
         let th = self.best_by_priority(self.active.iter().copied())?;
         if self.txn(th).is_runnable() {
@@ -2509,19 +1792,17 @@ impl<'p> EngineState<'p> {
         self.best_by_priority(candidates).map(|id| (id, true))
     }
 
-    /// The split-index pick: TH from the validated argmax over both
-    /// halves, then the IOwait-schedule fallback through the same argmax
+    /// The indexed pick: TH from the validated argmax over the run's
+    /// index, then the IOwait-schedule fallback through the same argmax
     /// restricted to runnable (and, when the policy asks, P-list-
-    /// compatible) transactions.
-    fn pick_next_heap(&self) -> Option<(TxnId, bool)> {
-        let th = self.split_best(|_| true);
+    /// compatible) transactions. `Verify` asserts both against a fresh
+    /// scan.
+    fn pick_next_indexed(&self) -> Option<(TxnId, bool)> {
+        let th = self.index_best(|_| true);
         if self.mode == CacheMode::Verify {
             self.verify_checks.set(self.verify_checks.get() + 1);
             let oracle = self.fresh_best(|_| true);
-            assert_eq!(
-                th, oracle,
-                "split-index TH pick diverged from the fresh scan"
-            );
+            assert_eq!(th, oracle, "indexed TH pick diverged from the fresh scan");
         }
         let Some(th) = th else {
             debug_assert!(self.active.is_empty(), "index lost an active entry");
@@ -2537,7 +1818,7 @@ impl<'p> EngineState<'p> {
             return None;
         }
         let restrict = self.policy.iowait_restrict();
-        let pick = self.split_best(|id| {
+        let pick = self.index_best(|id| {
             self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id))
         });
         if self.mode == CacheMode::Verify {
@@ -2547,293 +1828,125 @@ impl<'p> EngineState<'p> {
             });
             assert_eq!(
                 pick, oracle,
-                "split-index IOwait pick diverged from the fresh scan"
+                "indexed IOwait pick diverged from the fresh scan"
             );
         }
         pick.map(|id| (id, true))
     }
 
-    /// The validated argmax over both index halves.
+    /// The validated argmax over whichever index serves this run.
     ///
-    /// Every stored key is an **upper bound** on its transaction's exact
-    /// priority — a free key directly (it is bit-identical to the cached
-    /// value), a timed key through the falling effective bound
-    /// [`Self::timed_effective`]. Each round peeks the two half-maxima,
-    /// takes the larger *effective* tuple, pops it, and validates it by
-    /// exact recomputation ([`Self::priority_exact_detached`] — the entry
-    /// is out of the index, so the loop re-parks it itself under its
-    /// refreshed key and half). The moment the best validated exact tuple
-    /// beats the top effective tuple, no un-popped entry can win (its
-    /// exact sits at or below its own effective bound, which sits at or
-    /// below the top's), and the argmax is settled; the composite
+    /// Priority index: a key *is* the cached value, so it is its own
+    /// effective bound; validation is an exact recomputation
+    /// ([`Self::priority_exact_detached`] — the loop re-keys the entry
+    /// itself) and a stale entry re-parks under its exact priority.
+    ///
+    /// Slack index: every `TimeAndSelf` priority advances with the clock
+    /// at the same unit rate, so the effective bound is
+    /// [`Self::slack_bound`] of the time-invariant key; validation is a
+    /// [`Self::priority_of`] call (exact, and cached at this instant, for
+    /// `TimeAndSelf` policies) and the entry re-parks under its unchanged
+    /// key — `K` moves only on own-state events, never inside a pick.
+    fn index_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
+        if self.heap_in_use() {
+            self.validated_best(
+                &self.index,
+                |k| k,
+                |id, _| {
+                    let exact = self.priority_exact_detached(id);
+                    (exact, exact)
+                },
+                accept,
+            )
+        } else {
+            let now_ms = self.now().as_ms();
+            self.validated_best(
+                &self.slack,
+                |k| self.slack_bound(k, now_ms),
+                |id, k| (self.priority_of(id), k),
+                accept,
+            )
+        }
+    }
+
+    /// The validated argmax over a lazy upper-bound index.
+    ///
+    /// `bound` maps a stored key to an **upper bound** on its
+    /// transaction's exact priority, monotone in the key, so the heap top
+    /// carries the largest bound. Each round peeks the top and validates
+    /// it: `validate(id, key)` returns the exact priority and the key to
+    /// re-park the entry under. A top whose exact priority equals its
+    /// bound bit-for-bit settles the argmax in place — every remaining
+    /// entry's exact priority sits at or below its own bound, which sits
+    /// at or below the top's. Otherwise the top is lifted out (re-parked
+    /// after the pick) and the loop goes on until the best validated
+    /// exact tuple beats the next top's bound. The composite
     /// `(Priority, Reverse(arrival), Reverse(id))` tuple ends in the id,
     /// so cross-transaction ties cannot occur. Entries `accept` rejects
-    /// are parked unchanged — acceptability does not read priorities.
+    /// are lifted out unchanged — acceptability does not read priorities.
     ///
-    /// Each entry pops at most once per pick, so a pick costs
+    /// Each entry is validated at most once per pick, so a pick costs
     /// O(validations · log n); `heap_stale_pops` counts the validations
     /// that did *not* settle the pick (validations − 1).
-    fn split_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
+    fn validated_best(
+        &self,
+        index: &RefCell<PriorityIndex>,
+        bound: impl Fn(Priority) -> Priority,
+        validate: impl Fn(TxnId, Priority) -> (Priority, Priority),
+        accept: impl Fn(TxnId) -> bool,
+    ) -> Option<TxnId> {
         use std::cmp::Reverse;
-        let a = self.fall_offset_now();
-        // Fast path: a free-half combined top that validates bit-exactly
-        // settles the argmax with zero heap mutation — every other
-        // entry's effective bound sits at or below the top's, and the
-        // composite tuple already broke ties. This is the steady-state
-        // common case (fresh keys, one peek + one validation per pick);
-        // a timed top never bit-confirms (its bound carries a nudge), so
-        // it takes the general loop below.
-        {
-            let top = {
-                let index = self.index.borrow();
-                let free = index.peek(Half::Free).map(|e| (e.pri, e.arrival, e.id));
-                let timed = index
-                    .peek(Half::Timed)
-                    .map(|e| (self.timed_effective(e.pri, a), e.arrival, e.id));
-                match (free, timed) {
-                    (Some(f), None) => Some(f),
-                    (Some(f), Some(t)) => {
-                        if (f.0, Reverse(f.1), Reverse(f.2)) > (t.0, Reverse(t.1), Reverse(t.2)) {
-                            Some(f)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                }
-            };
-            if let Some((eff, _, id)) = top {
-                if accept(id) {
-                    let exact = self.priority_exact_detached(id);
-                    if exact.0.to_bits() == eff.0.to_bits() {
-                        self.heap_validated_picks
-                            .set(self.heap_validated_picks.get() + 1);
-                        return Some(id);
-                    }
-                    // Stale: the cache now holds the exact value while
-                    // the key still holds the old bound — the loop below
-                    // re-pops this same top (a cache-confirmed
-                    // revalidation) and re-parks it under its exact key,
-                    // restoring the paired-writes invariant before the
-                    // pick returns.
-                }
-            }
-        }
         let mut scratch = self.scratch.borrow_mut();
         debug_assert!(scratch.is_empty());
         let mut best: Option<(Priority, SimTime, TxnId)> = None;
         let mut validations: u64 = 0;
         loop {
-            let top = {
-                let index = self.index.borrow();
-                let free = index.peek(Half::Free).map(|e| (e.pri, e, Half::Free));
-                let timed = index
-                    .peek(Half::Timed)
-                    .map(|e| (self.timed_effective(e.pri, a), e, Half::Timed));
-                match (free, timed) {
-                    (None, None) => None,
-                    (Some(x), None) | (None, Some(x)) => Some(x),
-                    (Some(f), Some(t)) => {
-                        let ft = (f.0, Reverse(f.1.arrival), Reverse(f.1.id));
-                        let tt = (t.0, Reverse(t.1.arrival), Reverse(t.1.id));
-                        Some(if ft > tt { f } else { t })
-                    }
-                }
-            };
-            let Some((eff, entry, half)) = top else {
+            let Some(top) = index.borrow().peek() else {
                 break;
             };
+            let eff = bound(top.pri);
             if let Some((bp, ba, bi)) = best {
-                if (bp, Reverse(ba), Reverse(bi)) > (eff, Reverse(entry.arrival), Reverse(entry.id))
-                {
+                if (bp, Reverse(ba), Reverse(bi)) > (eff, Reverse(top.arrival), Reverse(top.id)) {
                     break;
                 }
             }
-            let id = entry.id;
-            self.index.borrow_mut().remove(id);
+            let id = top.id;
             if !accept(id) {
-                // A lifted free-half conflicter re-parks into the timed
-                // half (bound carried over, now falling): frozen at its
-                // stale key it would stick above the falling band and be
-                // lifted again at every subsequent pick.
-                let parked = if half == Half::Free && self.fall_rate > 0.0 {
-                    match self.timed_target() {
-                        Some(r) if r != id && self.accel.is_unsafe(self.txn(r), self.txn(id)) => {
-                            let key = Priority(nudge_up(entry.pri.0 + a, entry.pri.0.abs().max(a)));
-                            (HeapEntry { pri: key, ..entry }, Half::Timed)
-                        }
-                        _ => (entry, half),
-                    }
-                } else {
-                    (entry, half)
-                };
-                scratch.push(parked);
+                index.borrow_mut().remove(id);
+                scratch.push(top);
                 continue;
             }
-            let exact = self.priority_exact_detached(id);
+            let (exact, key) = validate(id, top.pri);
             validations += 1;
             debug_assert!(
                 exact <= eff,
-                "{id}: index key was not an upper bound ({} half, eff {} < exact {})",
-                if half == Half::Timed { "timed" } else { "free" },
+                "{id}: index key was not an upper bound (bound {} < exact {})",
                 eff.0,
                 exact.0
             );
-            let (key, new_half) = self.entry_key_for(id, exact);
-            scratch.push((
-                HeapEntry {
-                    pri: key,
-                    arrival: entry.arrival,
-                    id,
-                },
-                new_half,
-            ));
+            if exact.0.to_bits() == eff.0.to_bits() {
+                // Settled in place: the top's tuple already beat `best`
+                // (checked above) and dominates every remaining entry.
+                best = Some((exact, top.arrival, id));
+                break;
+            }
+            index.borrow_mut().remove(id);
+            scratch.push(HeapEntry { pri: key, ..top });
             self.heap_pushes.set(self.heap_pushes.get() + 1);
             let better = match best {
                 None => true,
                 Some((bp, ba, bi)) => {
-                    (exact, Reverse(entry.arrival), Reverse(id)) > (bp, Reverse(ba), Reverse(bi))
+                    (exact, Reverse(top.arrival), Reverse(id)) > (bp, Reverse(ba), Reverse(bi))
                 }
             };
             if better {
-                best = Some((exact, entry.arrival, id));
+                best = Some((exact, top.arrival, id));
             }
         }
         {
-            let mut index = self.index.borrow_mut();
-            for (e, h) in scratch.drain(..) {
-                index.insert(h, e);
-            }
-        }
-        if best.is_some() {
-            self.heap_validated_picks
-                .set(self.heap_validated_picks.get() + 1);
-            self.heap_stale_pops
-                .set(self.heap_stale_pops.get() + validations.saturating_sub(1));
-        }
-        best.map(|(_, _, id)| id)
-    }
-
-    /// The slack-index pick for `TimeAndSelf` policies: every priority
-    /// advances with the clock at the same unit rate (`priority ≈
-    /// now_ms + K`, with `K` the policy's time-invariant key), so ordering the
-    /// stored keys orders the priorities at any instant. The validated-
-    /// argmax protocol of [`Self::split_best`] applies with the effective
-    /// bound `nudge_up(now_ms + K, S_b)` — each deadline band's scale
-    /// `S_b` is shared by all its entries, keeping the bounds monotone
-    /// in `K` *within* the band, and the pick takes the max effective
-    /// tuple across band tops, so the break condition stays sound.
-    fn pick_next_slack(&self) -> Option<(TxnId, bool)> {
-        let th = self.slack_best(|_| true);
-        if self.mode == CacheMode::Verify {
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            let oracle = self.fresh_best(|_| true);
-            assert_eq!(
-                th, oracle,
-                "slack-index TH pick diverged from the fresh scan"
-            );
-        }
-        let Some(th) = th else {
-            debug_assert!(self.active.is_empty(), "slack index lost an active entry");
-            return None;
-        };
-        if self.runnable_tag(th) {
-            return Some((th, false));
-        }
-        if self.ready_count == 0 && self.running.is_none() {
-            return None;
-        }
-        let restrict = self.policy.iowait_restrict();
-        let pick = self.slack_best(|id| {
-            self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id))
-        });
-        if self.mode == CacheMode::Verify {
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            let oracle = self.fresh_best(|id| {
-                self.txn(id).is_runnable() && (!restrict || self.fresh_compatible(id))
-            });
-            assert_eq!(
-                pick, oracle,
-                "slack-index IOwait pick diverged from the fresh scan"
-            );
-        }
-        pick.map(|id| (id, true))
-    }
-
-    /// [`Self::split_best`]'s protocol over the banded slack index.
-    /// Each round takes the max *effective* tuple over the band tops —
-    /// every unpopped entry is dominated by its own band's top under
-    /// that band's scale — pops it, and validates it by exact
-    /// recomputation. Validated entries re-park under their *unchanged*
-    /// key — `K` moves only on own-state events, never inside a pick —
-    /// and validation itself is a [`Self::priority_of`] call, which is
-    /// exact (and cached at this instant) for `TimeAndSelf` policies.
-    fn slack_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
-        use std::cmp::Reverse;
-        let now_ms = self.now().as_ms();
-        let mut scratch = self.slack_scratch.borrow_mut();
-        debug_assert!(scratch.is_empty());
-        let mut best: Option<(Priority, SimTime, TxnId)> = None;
-        let mut validations: u64 = 0;
-        loop {
-            let top = {
-                let slack = self.slack.borrow();
-                let mut top: Option<(Priority, HeapEntry, usize)> = None;
-                for (b, band) in slack.bands.iter().enumerate() {
-                    let Some(e) = band.index.peek() else {
-                        continue;
-                    };
-                    let eff = Priority(nudge_up(now_ms + e.pri.0, band.eff_scale(now_ms)));
-                    let better = match &top {
-                        None => true,
-                        Some((teff, te, _)) => {
-                            (eff, Reverse(e.arrival), Reverse(e.id))
-                                > (*teff, Reverse(te.arrival), Reverse(te.id))
-                        }
-                    };
-                    if better {
-                        top = Some((eff, e, b));
-                    }
-                }
-                top
-            };
-            let Some((eff, entry, band)) = top else {
-                break;
-            };
-            if let Some((bp, ba, bi)) = best {
-                if (bp, Reverse(ba), Reverse(bi)) > (eff, Reverse(entry.arrival), Reverse(entry.id))
-                {
-                    break;
-                }
-            }
-            let id = entry.id;
-            self.slack.borrow_mut().remove(band, id);
-            scratch.push((entry, band));
-            if !accept(id) {
-                continue;
-            }
-            let exact = self.priority_of(id);
-            validations += 1;
-            debug_assert!(
-                exact <= eff,
-                "{id}: slack key was not an upper bound (eff {} < exact {})",
-                eff.0,
-                exact.0
-            );
-            let better = match best {
-                None => true,
-                Some((bp, ba, bi)) => {
-                    (exact, Reverse(entry.arrival), Reverse(id)) > (bp, Reverse(ba), Reverse(bi))
-                }
-            };
-            if better {
-                best = Some((exact, entry.arrival, id));
-            }
-        }
-        {
-            let mut slack = self.slack.borrow_mut();
-            for (e, b) in scratch.drain(..) {
-                slack.upsert(b, e);
+            let mut index = index.borrow_mut();
+            for e in scratch.drain(..) {
+                index.insert(e);
             }
         }
         if best.is_some() {
@@ -2903,7 +2016,7 @@ impl<'p> EngineState<'p> {
                 && match deps {
                     PriorityDeps::Static => true,
                     PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                    PriorityDeps::ConflictState { .. } => {
+                    PriorityDeps::ConflictState => {
                         s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
                     }
                     PriorityDeps::Volatile => unreachable!("handled above"),
@@ -2911,7 +2024,7 @@ impl<'p> EngineState<'p> {
             if hit {
                 let fresh = self.policy.priority(self.txn(id), &view);
                 self.verify_checks.set(self.verify_checks.get() + 1);
-                if matches!(deps, PriorityDeps::ConflictState { .. }) {
+                if matches!(deps, PriorityDeps::ConflictState) {
                     assert!(
                         s.pri_value >= fresh,
                         "{id}: surviving cache entry {} < fresh {} \
@@ -2930,67 +2043,45 @@ impl<'p> EngineState<'p> {
                 }
             }
         }
-        // Index-soundness oracles. Free-half keys must be bit-identical
-        // to their cache entries; every timed-half *effective* bound and
-        // every slack-index effective bound must dominate the fresh
-        // priority — exactly what the validated-argmax picks rely on.
+        // Index-soundness oracles. Priority-index keys must be
+        // bit-identical to their cache entries; every slack-index
+        // effective bound must dominate the fresh priority — exactly what
+        // the validated-argmax picks rely on.
         if self.heap_in_use() {
-            let a = self.fall_offset_now();
-            let index = self.index.borrow();
-            for e in index.entries(Half::Free) {
+            for e in self.index.borrow().entries() {
                 self.verify_checks.set(self.verify_checks.get() + 1);
                 assert_eq!(
                     e.pri.0.to_bits(),
                     self.accel.slot(e.id).pri_value.0.to_bits(),
-                    "{}: free-half key and cached priority disagree",
+                    "{}: index key and cached priority disagree",
                     e.id
-                );
-            }
-            for e in index.entries(Half::Timed) {
-                let fresh = self.policy.priority(self.txn(e.id), &view);
-                self.verify_checks.set(self.verify_checks.get() + 1);
-                assert!(
-                    self.timed_effective(e.pri, a) >= fresh,
-                    "{}: timed-half effective bound {} < fresh {}",
-                    e.id,
-                    self.timed_effective(e.pri, a).0,
-                    fresh.0
                 );
             }
         }
         if self.slack_in_use() {
             let now_ms = now.as_ms();
-            let slack = self.slack.borrow();
-            for (b, band) in slack.bands.iter().enumerate() {
-                let scale = band.eff_scale(now_ms);
-                for e in band.index.entries() {
-                    let t = self.txn(e.id);
-                    debug_assert_eq!(
-                        b,
-                        SlackBands::band_of(t.deadline),
-                        "{}: slack entry in the wrong deadline band",
-                        e.id
-                    );
-                    let k = self
-                        .policy
-                        .time_invariant_key(t)
-                        .expect("slack-indexed policy stopped exposing keys");
-                    let fresh = self.policy.priority(t, &view);
-                    self.verify_checks.set(self.verify_checks.get() + 2);
-                    assert_eq!(
-                        e.pri.0.to_bits(),
-                        k.to_bits(),
-                        "{}: slack key diverged from the policy's current key",
-                        e.id
-                    );
-                    assert!(
-                        Priority(nudge_up(now_ms + e.pri.0, scale)) >= fresh,
-                        "{}: slack effective bound {} < fresh {}",
-                        e.id,
-                        nudge_up(now_ms + e.pri.0, scale),
-                        fresh.0
-                    );
-                }
+            for e in self.slack.borrow().entries() {
+                let t = self.txn(e.id);
+                let k = self
+                    .policy
+                    .time_invariant_key(t)
+                    .expect("slack-indexed policy stopped exposing keys");
+                let fresh = self.policy.priority(t, &view);
+                self.verify_checks.set(self.verify_checks.get() + 2);
+                assert_eq!(
+                    e.pri.0.to_bits(),
+                    k.to_bits(),
+                    "{}: slack key diverged from the policy's current key",
+                    e.id
+                );
+                let eff = self.slack_bound(e.pri, now_ms);
+                assert!(
+                    eff >= fresh,
+                    "{}: slack effective bound {} < fresh {}",
+                    e.id,
+                    eff.0,
+                    fresh.0
+                );
             }
         }
     }
@@ -3092,8 +2183,6 @@ impl<'p> EngineState<'p> {
                 // read effective service (CCA's penalty term) see the
                 // same value, so cached entries stay bit-valid.
                 t.service += consumed;
-                // The anchored span ends with the burst it mirrors.
-                self.freeze_timed();
             }
             self.set_state(r, TxnState::Ready);
             self.metrics.add_cpu_busy(consumed);
@@ -3274,33 +2363,13 @@ impl<'p> EngineState<'p> {
         if self.heap_in_use() {
             let index = self.index.borrow();
             assert_eq!(index.len(), self.active.len(), "index size diverged");
-            let a = self.fall_offset_now();
-            let view = self.fresh_view();
             for &id in &self.active {
-                let (key, half) = index.key_of(id).expect("active but not indexed");
-                match half {
-                    Half::Free => assert_eq!(
-                        key.0.to_bits(),
-                        self.accel.slot(id).pri_value.0.to_bits(),
-                        "{id}: free-half key and cached priority disagree"
-                    ),
-                    Half::Timed => {
-                        // Timed keys exist only under a positive fall
-                        // rate, and their effective bound must dominate
-                        // the exact priority at all times.
-                        assert!(
-                            self.fall_rate > 0.0,
-                            "{id}: timed entry with zero fall rate"
-                        );
-                        let fresh = self.policy.priority(self.txn(id), &view);
-                        assert!(
-                            self.timed_effective(key, a) >= fresh,
-                            "{id}: timed-half effective bound {} < fresh {}",
-                            self.timed_effective(key, a).0,
-                            fresh.0
-                        );
-                    }
-                }
+                let key = index.key_of(id).expect("active but not indexed");
+                assert_eq!(
+                    key.0.to_bits(),
+                    self.accel.slot(id).pri_value.0.to_bits(),
+                    "{id}: index key and cached priority disagree"
+                );
             }
         }
         // The slack index, when it is the pick path, covers the active
@@ -3308,8 +2377,7 @@ impl<'p> EngineState<'p> {
         if self.slack_in_use() {
             let slack = self.slack.borrow();
             for &id in &self.active {
-                let b = SlackBands::band_of(self.txn(id).deadline);
-                let key = slack.key_of(b, id).expect("active but not slack-indexed");
+                let key = slack.key_of(id).expect("active but not slack-indexed");
                 let k = self
                     .policy
                     .time_invariant_key(self.txn(id))
@@ -3559,10 +2627,8 @@ impl EngineState<'_> {
             pair_cache_evictions: self.accel.pair_cache_evictions(),
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
-            index_migrations: self.index_migrations.get(),
-            migrations_batched: self.migrations_batched.get(),
+            index_migrations: 0,
             pair_cache_probes: self.accel.pair_cache_probes(),
-            frozen_compactions: self.frozen_compactions.get(),
             verify_checks: self.verify_checks.get(),
             sched_wall_ns: self.sched_wall_ns.get(),
         });
@@ -3880,7 +2946,6 @@ impl<'p> PickHarness<'p> {
             );
             assert!(txn.is_active(), "harness transactions must be active");
             st.accel.register(id);
-            st.index.borrow_mut().register();
             let partial = txn.is_partially_executed();
             if txn.state == TxnState::Ready {
                 st.ready_count += 1;
@@ -3943,10 +3008,8 @@ impl<'p> PickHarness<'p> {
             pair_cache_evictions: self.st.accel.pair_cache_evictions(),
             clear_repair_clears: self.st.clear_repair_clears.get(),
             clear_repair_visits: self.st.clear_repair_visits.get(),
-            index_migrations: self.st.index_migrations.get(),
-            migrations_batched: self.st.migrations_batched.get(),
+            index_migrations: 0,
             pair_cache_probes: self.st.accel.pair_cache_probes(),
-            frozen_compactions: self.st.frozen_compactions.get(),
             verify_checks: self.st.verify_checks.get(),
             sched_wall_ns: self.st.sched_wall_ns.get(),
         }

@@ -59,20 +59,13 @@ pub struct SchedStats {
     /// reverse index this scales with the cleared transaction's sharer
     /// set, not with MPL.
     pub clear_repair_visits: u64,
-    /// Entries moved between the split priority index's halves (runner
-    /// anchor changes and cross-half cache writes).
+    /// Always 0: the engine keeps one priority index, so no entry ever
+    /// migrates between indexes. Kept so readers of the counter set
+    /// (benchmark reports) keep their columns.
     pub index_migrations: u64,
-    /// Compute bursts whose anchor migration walks were skipped entirely
-    /// because the timed half still mirrored the runner's unsafe set
-    /// (same runner as the last walk, no clear or narrowing since).
-    pub migrations_batched: u64,
     /// Secondary-way (victim-slot) lookups performed by the two-way pair
     /// caches after a primary-slot key miss.
     pub pair_cache_probes: u64,
-    /// Timed-half compactions: frozen entries drained back to the free
-    /// half and the shared fall offset re-zeroed, bounding stale-offset
-    /// accumulation in long mostly-idle runs.
-    pub frozen_compactions: u64,
     /// Verify-mode divergence checks performed (cache-vs-fresh
     /// assertions that ran and passed; 0 outside `CacheMode::Verify`).
     pub verify_checks: u64,

@@ -200,7 +200,7 @@ fn policy_by_index(which: usize) -> Box<dyn Policy> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(56))]
 
     /// The incremental engine's trajectory and final metrics equal the
     /// always-recompute oracle on arbitrary workloads, and the Verify
@@ -462,79 +462,23 @@ fn mpl256_burst_heap_determinism() {
         "slack index never picked"
     );
     assert_eq!(oracle.sched.heap_validated_picks, 0);
-}
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Migration batching is an index-maintenance strategy, not a policy
-    /// change: the incremental engine skips the walk of a runner's unsafe
-    /// set when the timed half already mirrors that runner, while the
-    /// recompute oracle keeps no index and so never reuses a walk. Both
-    /// must produce bit-identical trajectories on arbitrary workloads —
-    /// including faults, shared locks, and decision narrowing.
-    #[test]
-    fn batched_migrations_match_eager_walks(
-        specs in proptest::collection::vec(txn_spec(), 1..25),
-        disk in any::<bool>(),
-        with_modes in any::<bool>(),
-        faults in any::<bool>(),
-        which in 0usize..4,
-    ) {
-        let p = policy_by_index(which);
-        let batched = run_specs_mode(
-            &specs, p.as_ref(), disk, with_modes, faults, false, CacheMode::Incremental);
-        let oracle = run_specs_mode(
-            &specs, p.as_ref(), disk, with_modes, faults, false, CacheMode::AlwaysRecompute);
-        prop_assert_eq!(
-            batched.sans_sched_stats(),
-            oracle.sans_sched_stats(),
-            "batched migrations diverged from the recompute oracle under {}",
-            p.name()
-        );
-        // The oracle never reuses a walk, so it reports no batching.
-        prop_assert_eq!(oracle.sched.migrations_batched, 0, "{}", p.name());
-    }
-}
-
-/// A sustained CCA burst freezes and resumes the timed half thousands of
-/// times; the frozen entries left behind by picks and repairs must be
-/// compacted away while the half is idle, and compaction must not perturb
-/// the trajectory. Mirrors the bench profile's `mm_cca_burst_mpl64`
-/// scenario, where compaction engages reliably.
-#[test]
-fn frozen_compaction_engages_on_bursts() {
-    let mut cfg = SimConfig::mm_base();
+    // The bench profile's MPL-64 CCA burst cell: thousands of short
+    // compute bursts over a small, fully contended active set.
     cfg.run.num_transactions = 64;
-    cfg.run.arrival_rate_tps = 2_000.0;
-
     let oracle = run_simulation_with_mode(&cfg, &Cca::base(), CacheMode::AlwaysRecompute);
     let inc = run_simulation_with_mode(&cfg, &Cca::base(), CacheMode::Incremental);
     assert_eq!(
         inc.sans_sched_stats(),
         oracle.sans_sched_stats(),
-        "frozen compaction perturbed the trajectory"
+        "MPL-64: heap picks diverged from the oracle under CCA"
     );
-    assert!(
-        inc.sched.frozen_compactions > 0,
-        "burst workload never compacted the frozen timed half \
-         (got {} compactions)",
-        inc.sched.frozen_compactions
-    );
-    assert!(
-        inc.sched.migrations_batched > 0,
-        "consecutive bursts by the same runner never reused a walk"
-    );
-    // The oracle maintains no index at all.
-    assert_eq!(oracle.sched.frozen_compactions, 0);
-    assert_eq!(oracle.sched.migrations_batched, 0);
-    assert_eq!(oracle.sched.index_migrations, 0);
 }
 
 /// MPL-1024 burst under `CacheMode::Verify`: every cached priority the
 /// pick path consults is bit-checked against a fresh evaluation, and the
 /// maintained P-list and ready counts are checked against full scans, at
-/// the contention level where migration batching and the pair cache work
+/// the contention level where the lazy index and the pair cache work
 /// hardest. Slow (minutes) — run explicitly in CI via `--ignored`.
 #[test]
 #[ignore = "verify-mode smoke at MPL 1024 is slow; CI runs it explicitly"]
@@ -551,7 +495,6 @@ fn mpl1024_verify_smoke() {
         "MPL-1024: verify mode diverged from the recompute oracle"
     );
     assert!(verified.sched.verify_checks > 0);
-    assert!(verified.sched.migrations_batched > 0);
 }
 
 /// Profiled runs populate the wall-clock counter without perturbing the

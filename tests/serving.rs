@@ -212,14 +212,25 @@ fn engine_panic_resolves_every_ticket_and_restarts() {
         Server::start(serve, Arc::new(serve_cfg()), Arc::new(EdfHp)).expect("config is valid");
 
     let n = 500;
-    let tickets: Vec<_> = trace(n, 80.0, 3)
-        .stream()
-        .map(|req| {
+    let mut tickets = Vec::with_capacity(n);
+    for (i, req) in trace(n, 80.0, 3).stream().enumerate() {
+        tickets.push(
             server
                 .submit(req)
-                .expect("queue never closes: restart budget covers the one injected panic")
-        })
-        .collect();
+                .expect("queue never closes: restart budget covers the one injected panic"),
+        );
+        if i == 60 {
+            // Virtual mode hands the whole submission queue to the
+            // engine, so a fast submitter could land every request in
+            // the incarnation that crashes. Hold the rest back until the
+            // crash has happened: request 49 is the 50th arrival, the
+            // one that triggers the panic, so it dies with the engine.
+            let outcome = tickets[49]
+                .wait_timeout(std::time::Duration::from_secs(30))
+                .expect("the crash must resolve the triggering request");
+            assert!(outcome.poisoned(), "the crashed engine held request 49");
+        }
+    }
     let report = server.shutdown();
 
     assert_eq!(report.crashes, 1, "exactly the injected panic");
