@@ -90,9 +90,9 @@ fn append_bench_history(
         .create(true)
         .append(true)
         .open(path)?;
-    // The header is append-only: the index-migration, batching and
-    // compaction columns outlive the mechanisms they measured and are
-    // written as 0.
+    // The header is append-only: the index-migration, batching,
+    // pair-cache and compaction columns outlive the mechanisms they
+    // measured and are written as 0.
     if fresh {
         writeln!(
             f,
@@ -104,15 +104,8 @@ fn append_bench_history(
     for r in rows {
         writeln!(
             f,
-            "{epoch},{commit},{},{},{},{:.1},{:.2},{},0,0,{},{},0",
-            r.name,
-            r.policy,
-            r.mpl,
-            r.cached_pick_ns,
-            r.sched_speedup,
-            r.heap_stale_pops,
-            r.pair_cache_evictions,
-            r.pair_cache_probes,
+            "{epoch},{commit},{},{},{},{:.1},{:.2},{},0,0,0,0,0",
+            r.name, r.policy, r.mpl, r.cached_pick_ns, r.sched_speedup, r.heap_stale_pops,
         )?;
     }
     Ok(())

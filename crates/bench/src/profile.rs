@@ -184,7 +184,6 @@ fn run_cell(
         cell.sched.pair_cache_evictions += s.sched.pair_cache_evictions;
         cell.sched.clear_repair_clears += s.sched.clear_repair_clears;
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
-        cell.sched.pair_cache_probes += s.sched.pair_cache_probes;
         cell.sched.verify_checks += s.sched.verify_checks;
         cell.sched.sched_wall_ns += s.sched.sched_wall_ns;
         cell.committed += s.committed;
@@ -203,7 +202,7 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"pair_checks\": {},\n{indent}  \"pair_cache_hits\": {},\n\
          {indent}  \"heap_pushes\": {},\n{indent}  \"heap_stale_pops\": {},\n\
          {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_invalidations\": {},\n\
-         {indent}  \"pair_cache_evictions\": {},\n{indent}  \"pair_cache_probes\": {},\n\
+         {indent}  \"pair_cache_evictions\": {},\n\
          {indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
@@ -219,7 +218,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.heap_validated_picks,
         cell.sched.pair_invalidations,
         cell.sched.pair_cache_evictions,
-        cell.sched.pair_cache_probes,
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,
         cell.committed,
@@ -243,10 +241,6 @@ pub struct ScenarioSummary {
     pub sched_speedup: f64,
     /// Deterministic counters from the incremental cell.
     pub heap_stale_pops: u64,
-    /// Pair-cache entries dropped to make room.
-    pub pair_cache_evictions: u64,
-    /// Pair-cache victim-way probes after a primary-way miss.
-    pub pair_cache_probes: u64,
 }
 
 /// Run the scheduler-overhead profile and render both JSON documents:
@@ -303,9 +297,8 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             "    {{\n      \"name\": \"{}\",\n      \"policy\": \"{}\",\n      \
              \"mpl\": {},\n      \"cached_pick_ns\": {:.1},\n      \
              \"oracle_pick_ns\": {:.1},\n      \"sched_speedup\": {:.2},\n      \
-             \"heap_stale_pops\": {},\n      \"clear_repair_clears\": {},\n      \
-             \"clear_repair_visits\": {},\n      \"pair_cache_evictions\": {},\n      \
-             \"pair_cache_probes\": {}\n    }}",
+             \"heap_stale_pops\": {},\n      \"pair_checks\": {},\n      \
+             \"clear_repair_clears\": {},\n      \"clear_repair_visits\": {}\n    }}",
             sc.name,
             policy.name(),
             sc.cfg.run.num_transactions,
@@ -313,10 +306,9 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cold.pick_ns(),
             speedup,
             cached.sched.heap_stale_pops,
+            cached.sched.pair_checks,
             cached.sched.clear_repair_clears,
             cached.sched.clear_repair_visits,
-            cached.sched.pair_cache_evictions,
-            cached.sched.pair_cache_probes,
         ));
         rows.push(ScenarioSummary {
             name: sc.name.to_string(),
@@ -325,8 +317,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached_pick_ns: cached.pick_ns(),
             sched_speedup: speedup,
             heap_stale_pops: cached.sched.heap_stale_pops,
-            pair_cache_evictions: cached.sched.pair_cache_evictions,
-            pair_cache_probes: cached.sched.pair_cache_probes,
         });
     }
     let full = format!(

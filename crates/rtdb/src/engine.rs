@@ -639,7 +639,7 @@ impl<'p> EngineState<'p> {
     /// re-pushed every victim here — O(victims) full evaluations per
     /// clear, which dominated high-contention runs.
     ///
-    /// O(sharers) memoized pair tests, paid only on clears (the rare,
+    /// O(sharers) pair tests, paid only on clears (the rare,
     /// priority-raising event): instead of probing every active
     /// transaction, the walk enumerates through the item→transaction
     /// reverse index only the transactions whose `might_access` shares
@@ -813,7 +813,7 @@ impl<'p> EngineState<'p> {
     /// already exact and this delegates to [`Self::priority_of`]. For
     /// `ConflictState` under lazy falls a surviving entry may be
     /// stale-high, so the value is recomputed against the accel-backed
-    /// view (memoized pair verdicts keep this O(P-list), and the P-list
+    /// view (direct one-word set tests keep this O(P-list), and the P-list
     /// stays near-empty in exactly the high-contention regimes that made
     /// the old per-event walks explode). A recompute that *confirms* the
     /// surviving entry counts as a cache hit and leaves cache and index
@@ -2116,52 +2116,46 @@ impl<'p> EngineState<'p> {
     /// with shared locks only write-involved overlaps count.
     ///
     /// Incrementally: iterate the maintained P-list (same transactions,
-    /// same ascending-id order as the `active` scan) with memoized pair
-    /// verdicts.
+    /// same ascending-id order as the `active` scan). `Verify` walks both
+    /// and asserts they agree.
     fn compatible_with_plist(&self, id: TxnId) -> bool {
-        let candidate = self.txn(id);
         match self.mode {
-            CacheMode::AlwaysRecompute => self
-                .active
-                .iter()
-                .filter(|&&p| p != id)
-                .map(|&p| self.txn(p))
-                .filter(|p| p.is_partially_executed())
-                .all(|p| !candidate.conflicts_with(p)),
+            CacheMode::AlwaysRecompute => self.scan_compatible(id),
             CacheMode::Verify => {
-                // One pass over `active` yields both answers: filtering it
-                // by `is_partially_executed` visits exactly the maintained
-                // P-list in the same ascending-id order (that identity is
-                // itself asserted in `update_queue_metrics` and
-                // `validate_state`), so each pair can be checked memoized
-                // vs fresh as it streams by instead of scanning twice.
-                let mut compatible = true;
-                for &p in &self.active {
-                    if p == id {
-                        continue;
-                    }
-                    let partial = self.txn(p);
-                    if !partial.is_partially_executed() {
-                        continue;
-                    }
-                    let memoized = self.accel.conflicts(candidate, partial);
-                    let fresh = candidate.conflicts_with(partial);
-                    self.verify_checks.set(self.verify_checks.get() + 1);
-                    assert_eq!(
-                        memoized, fresh,
-                        "{id}: memoized pair verdict against {p} diverged"
-                    );
-                    compatible &= !memoized;
-                }
-                compatible
+                // The maintained P-list walk must reach the verdict of an
+                // independent `active` scan.
+                let scan = self.scan_compatible(id);
+                let walked = self.plist_compatible(id);
+                self.verify_checks.set(self.verify_checks.get() + 1);
+                assert_eq!(
+                    walked, scan,
+                    "{id}: P-list compatibility verdict diverged from the active scan"
+                );
+                walked
             }
-            CacheMode::Incremental => self
-                .accel
-                .plist()
-                .iter()
-                .filter(|&&p| p != id)
-                .all(|&p| !self.accel.conflicts(candidate, self.txn(p))),
+            CacheMode::Incremental => self.plist_compatible(id),
         }
+    }
+
+    /// [`Self::compatible_with_plist`] by a scan of `active`.
+    fn scan_compatible(&self, id: TxnId) -> bool {
+        let candidate = self.txn(id);
+        self.active
+            .iter()
+            .filter(|&&p| p != id)
+            .map(|&p| self.txn(p))
+            .filter(|p| p.is_partially_executed())
+            .all(|p| !candidate.conflicts_with(p))
+    }
+
+    /// [`Self::compatible_with_plist`] over the maintained P-list.
+    fn plist_compatible(&self, id: TxnId) -> bool {
+        let candidate = self.txn(id);
+        self.accel
+            .plist()
+            .iter()
+            .filter(|&&p| p != id)
+            .all(|&p| !self.accel.conflicts(candidate, self.txn(p)))
     }
 
     fn preempt_running(&mut self) {
@@ -2317,8 +2311,7 @@ impl<'p> EngineState<'p> {
             for item in held {
                 assert!(t.accessed.contains(item));
             }
-            // No transaction waits for a lock: HP has no lock wait, so a
-            // Ready transaction is always immediately dispatchable.
+            // A `Running` transaction is the one on the CPU.
             if t.state == TxnState::Running {
                 assert_eq!(self.running, Some(id));
             }
@@ -2619,16 +2612,15 @@ impl EngineState<'_> {
             priority_evals: self.priority_evals.get(),
             priority_cache_hits: self.priority_cache_hits.get(),
             pair_checks: self.accel.pair_checks(),
-            pair_cache_hits: self.accel.pair_cache_hits(),
+            pair_cache_hits: 0,
             heap_pushes: self.heap_pushes.get(),
             heap_stale_pops: self.heap_stale_pops.get(),
             heap_validated_picks: self.heap_validated_picks.get(),
             pair_invalidations: self.accel.pair_invalidations(),
-            pair_cache_evictions: self.accel.pair_cache_evictions(),
+            pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
             index_migrations: 0,
-            pair_cache_probes: self.accel.pair_cache_probes(),
             verify_checks: self.verify_checks.get(),
             sched_wall_ns: self.sched_wall_ns.get(),
         });
@@ -3000,16 +2992,15 @@ impl<'p> PickHarness<'p> {
             priority_evals: self.st.priority_evals.get(),
             priority_cache_hits: self.st.priority_cache_hits.get(),
             pair_checks: self.st.accel.pair_checks(),
-            pair_cache_hits: self.st.accel.pair_cache_hits(),
+            pair_cache_hits: 0,
             heap_pushes: self.st.heap_pushes.get(),
             heap_stale_pops: self.st.heap_stale_pops.get(),
             heap_validated_picks: self.st.heap_validated_picks.get(),
             pair_invalidations: self.st.accel.pair_invalidations(),
-            pair_cache_evictions: self.st.accel.pair_cache_evictions(),
+            pair_cache_evictions: 0,
             clear_repair_clears: self.st.clear_repair_clears.get(),
             clear_repair_visits: self.st.clear_repair_visits.get(),
             index_migrations: 0,
-            pair_cache_probes: self.st.accel.pair_cache_probes(),
             verify_checks: self.st.verify_checks.get(),
             sched_wall_ns: self.st.sched_wall_ns.get(),
         }

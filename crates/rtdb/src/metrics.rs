@@ -33,7 +33,8 @@ pub struct SchedStats {
     /// Pairwise conflict tests requested (static `conflicts_with` plus
     /// dynamic `is_unsafe_with`, e.g. from `penalty_of_conflict`).
     pub pair_checks: u64,
-    /// Pair tests answered from the version-gated pair cache.
+    /// Always 0: pair tests are direct set intersections, never
+    /// memoized. Kept so benchmark readers keep their columns.
     pub pair_cache_hits: u64,
     /// Priority-index key writes: inserts plus in-place repositions
     /// (clear repairs and eval-driven cache writes) while the
@@ -49,8 +50,8 @@ pub struct SchedStats {
     /// ConflictState priorities targeted invalidation actually flushed
     /// (the global epoch flushed *all* of them on every change).
     pub pair_invalidations: u64,
-    /// Pair-cache slots overwritten by a *different* pair (direct-mapped
-    /// collision evictions — a measure of cache pressure at high MPL).
+    /// Always 0: there is no pair-verdict cache to evict from. Kept so
+    /// benchmark readers keep their columns.
     pub pair_cache_evictions: u64,
     /// Conflict-clear repair walks performed (one per clear of a
     /// partially executed transaction under targeted invalidation).
@@ -63,9 +64,6 @@ pub struct SchedStats {
     /// migrates between indexes. Kept so readers of the counter set
     /// (benchmark reports) keep their columns.
     pub index_migrations: u64,
-    /// Secondary-way (victim-slot) lookups performed by the two-way pair
-    /// caches after a primary-slot key miss.
-    pub pair_cache_probes: u64,
     /// Verify-mode divergence checks performed (cache-vs-fresh
     /// assertions that ran and passed; 0 outside `CacheMode::Verify`).
     pub verify_checks: u64,

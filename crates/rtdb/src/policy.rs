@@ -85,7 +85,8 @@ pub enum PriorityDeps {
 ///
 /// Construct with [`SystemView::new`]; the engine additionally threads an
 /// internal conflict accelerator through it so `penalty_of_conflict`'s
-/// pair tests hit the memoized path transparently.
+/// P-list walk iterates the maintained list and its pair tests are
+/// tallied.
 pub struct SystemView<'a> {
     /// Current simulation time.
     pub now: SimTime,
@@ -111,7 +112,8 @@ impl<'a> SystemView<'a> {
     }
 
     /// A view backed by the engine's conflict accelerator: P-list walks
-    /// iterate the maintained list and pair tests are memoized.
+    /// iterate the maintained list and pair tests are counted in
+    /// `pair_checks`.
     pub(crate) fn with_accel(
         now: SimTime,
         txns: &'a [Transaction],
@@ -149,9 +151,9 @@ impl<'a> SystemView<'a> {
     }
 
     /// Is `partial` unsafe (or conditionally unsafe) with respect to
-    /// `candidate`? Memoized through the engine's pair cache when this
-    /// view carries one; otherwise computed from the transactions' sets.
-    /// Identical verdicts either way — see [`crate::txn::is_unsafe_with`].
+    /// `candidate`? Always computed from the transactions' sets (see
+    /// [`crate::txn::is_unsafe_with`]); an accelerator-backed view also
+    /// counts the test.
     pub fn is_unsafe_with(&self, partial: &Transaction, candidate: &Transaction) -> bool {
         match self.accel {
             Some(a) => a.is_unsafe(partial, candidate),
@@ -159,8 +161,8 @@ impl<'a> SystemView<'a> {
         }
     }
 
-    /// Symmetric static conflict test (`conflicts_with`), memoized when
-    /// this view carries the engine's pair cache.
+    /// Symmetric static conflict test (`conflicts_with`); an
+    /// accelerator-backed view also counts the test.
     pub fn conflicts(&self, a: &Transaction, b: &Transaction) -> bool {
         match self.accel {
             Some(acc) => acc.conflicts(a, b),

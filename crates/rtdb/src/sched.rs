@@ -8,10 +8,11 @@
 //!
 //! * an explicitly maintained, id-sorted **P-list** (the partially
 //!   executed transactions) replaces the per-event scan of all slots;
-//! * a **pairwise conflict cache** (direct-mapped, lossy) memoizes the
-//!   static `conflicts_with` test and the dynamic `is_unsafe_with` test,
-//!   gated by per-transaction version counters so a pair is only
-//!   re-examined after one side's access sets actually changed;
+//! * an item→transaction **reverse index** narrows a conflict event's
+//!   walk to the transactions that share an item with it; each pair it
+//!   yields is tested directly (`conflicts_with`, `is_unsafe_with`) —
+//!   with the paper's small databases every set is one machine word, so
+//!   the test is a couple of ANDs and is never memoized;
 //! * a **per-transaction pair stamp** records, for every transaction,
 //!   the last time the set of partially executed transactions unsafe with
 //!   respect to *it* changed. A conflict event at transaction `C`
@@ -21,10 +22,12 @@
 //!   those [`crate::policy::PriorityDeps::ConflictState`] entries instead
 //!   of epoch-flushing every one of them.
 //!
-//! Correctness contract: every cached answer is **bit-identical** to a
-//! fresh recomputation. The engine's [`CacheMode::Verify`] mode asserts
-//! this at every single use, and `tests/incremental_equivalence.rs`
-//! drives it over randomized workloads.
+//! Correctness contract: every maintained structure (P-list, reverse
+//! index, pair stamps and the priorities they gate) yields answers
+//! **bit-identical** to a fresh recomputation. The engine's
+//! [`CacheMode::Verify`] mode asserts this at every single use, and
+//! `tests/incremental_equivalence.rs` drives it over randomized
+//! workloads.
 
 use std::cell::Cell;
 
@@ -38,8 +41,8 @@ use crate::txn::{is_unsafe_with, Transaction, TxnId};
 /// How the engine evaluates priorities and conflict relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Use the maintained P-list, the pairwise conflict cache and the
-    /// epoch-invalidated priority cache (the default; production path).
+    /// Use the maintained P-list, the reverse index and the
+    /// stamp-invalidated priority cache (the default; production path).
     #[default]
     Incremental,
     /// Recompute everything from scratch at every scheduling point — the
@@ -49,178 +52,6 @@ pub enum CacheMode {
     /// Run incrementally but recompute fresh alongside every cache read
     /// and assert bit-identity. Slow; tests only.
     Verify,
-}
-
-/// splitmix64 finalizer: a deterministic full-avalanche mix for packed
-/// `u64` pair keys, fixed across platforms so runs stay reproducible.
-#[inline]
-fn mix64(n: u64) -> u64 {
-    let mut z = n;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One memoized pair verdict, tagged with the pair key it belongs to and
-/// the version counters of the inputs it was computed from.
-#[derive(Clone, Copy)]
-struct PairSlot {
-    key: u64,
-    versions: (u64, u64),
-    result: bool,
-}
-
-impl PairSlot {
-    /// No transaction ever gets id `u32::MAX` (ids are dense from 0), so
-    /// this key matches no real pair.
-    const EMPTY: PairSlot = PairSlot {
-        key: u64::MAX,
-        versions: (0, 0),
-        result: false,
-    };
-}
-
-/// Smallest pair-cache size: 2^13 = 8192 slots × 32 B = 256 KiB per
-/// cache — the original fixed table, still right for small MPLs.
-const PAIR_CACHE_MIN_BITS: u32 = 13;
-
-/// Largest pair-cache size: 2^18 slots × 32 B = 8 MiB per cache. Beyond
-/// this the table stops being cache-resident and bigger only buys
-/// compulsory misses.
-const PAIR_CACHE_MAX_BITS: u32 = 18;
-
-/// Two-way (primary + victim slot), lossy pair-verdict cache, sized by
-/// MPL.
-///
-/// Each packed pair key hashes to a primary slot `s`; its victim way is
-/// the adjacent slot `s ^ 1`, so both ways share one 64-byte cache line.
-/// A colliding pair displaces the primary occupant into the victim way
-/// instead of dropping it, which halves thrash between two hot pairs
-/// that hash together. Losing an entry only costs a recomputation —
-/// verdicts are pure functions of the two transactions' sets, so a
-/// lossy cache cannot change results, only hit rates. Compared to a
-/// `HashMap` memo this removes probe chains, occupancy bookkeeping and
-/// insertion rehashing from the innermost loop — which matters precisely
-/// in high-contention bursts, where version churn drives the hit rate
-/// toward zero and every check would otherwise pay full map overhead for
-/// nothing. `Cell` slots keep lookups `&self` without `RefCell` traffic.
-///
-/// The slot count is the next power of two covering a `4 × MPL²` pair
-/// budget, clamped to `[2^13, 2^18]`: the hot working set is
-/// partials × candidates, which grows quadratically with MPL, and the
-/// fixed 8192-slot table was the dominant eviction source at MPL 1024
-/// (~2.1 M evictions per burst run).
-struct PairCache {
-    slots: Box<[Cell<PairSlot>]>,
-    /// `64 - log2(slot count)`: `slot_of` takes the top bits of the
-    /// mixed key.
-    shift: u32,
-    /// Times `put` dropped a live entry for a *different* pair from the
-    /// cache entirely (displaced out of the victim way) — the collision/
-    /// thrash signal. Refreshing a slot that already holds the same pair
-    /// (version churn) is not an eviction, and neither is the
-    /// primary→victim displacement itself.
-    evictions: Cell<u64>,
-    /// Victim-way lookups performed after a primary-slot key miss.
-    probes: Cell<u64>,
-}
-
-impl PairCache {
-    fn with_bits(bits: u32) -> Self {
-        debug_assert!((1..=63).contains(&bits));
-        PairCache {
-            slots: vec![Cell::new(PairSlot::EMPTY); 1 << bits].into_boxed_slice(),
-            shift: 64 - bits,
-            evictions: Cell::new(0),
-            probes: Cell::new(0),
-        }
-    }
-
-    /// Slot-count bits for a run admitting at most `capacity` concurrent
-    /// transactions: next power of two ≥ the `4 × capacity²` pair
-    /// budget, clamped to `[PAIR_CACHE_MIN_BITS, PAIR_CACHE_MAX_BITS]`.
-    fn bits_for_capacity(capacity: usize) -> u32 {
-        let budget = capacity
-            .saturating_mul(capacity)
-            .saturating_mul(4)
-            .max(1)
-            .next_power_of_two();
-        budget
-            .trailing_zeros()
-            .clamp(PAIR_CACHE_MIN_BITS, PAIR_CACHE_MAX_BITS)
-    }
-
-    fn sized_for(capacity: usize) -> Self {
-        Self::with_bits(Self::bits_for_capacity(capacity))
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        (mix64(key) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn get(&self, key: u64, versions: (u64, u64)) -> Option<bool> {
-        let s = self.slot_of(key);
-        let a = self.slots[s].get();
-        if a.key == key {
-            return (a.versions == versions).then_some(a.result);
-        }
-        // Primary way holds a different pair: probe the victim way.
-        self.probes.set(self.probes.get() + 1);
-        let b = self.slots[s ^ 1].get();
-        (b.key == key && b.versions == versions).then_some(b.result)
-    }
-
-    #[inline]
-    fn put(&self, key: u64, versions: (u64, u64), result: bool) {
-        let fresh = PairSlot {
-            key,
-            versions,
-            result,
-        };
-        let s = self.slot_of(key);
-        let primary = &self.slots[s];
-        if primary.get().key == key {
-            primary.set(fresh);
-            return;
-        }
-        let victim = &self.slots[s ^ 1];
-        if victim.get().key == key {
-            victim.set(fresh);
-            return;
-        }
-        if primary.get().key == u64::MAX {
-            primary.set(fresh);
-            return;
-        }
-        // Displace the primary occupant into the victim way; whatever
-        // lived there leaves the cache.
-        let dropped = victim.get().key;
-        victim.set(primary.get());
-        primary.set(fresh);
-        if dropped != u64::MAX {
-            self.evictions.set(self.evictions.get() + 1);
-        }
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    fn probes(&self) -> u64 {
-        self.probes.get()
-    }
-}
-
-#[inline]
-fn pair_key(a: TxnId, b: TxnId) -> u64 {
-    (u64::from(a.0) << 32) | u64::from(b.0)
 }
 
 /// Incrementally maintained conflict state (see the module docs).
@@ -234,21 +65,17 @@ pub struct ConflictAccel {
     /// the engine's `active` list is always in arrival = id order, this
     /// reproduces the exact iteration order of the full-scan P-list.
     plist: Vec<TxnId>,
-    /// Dense per-transaction hot state: the version counters gating the
-    /// pair caches (`might_version`, `access_version`, `own_version`),
-    /// the per-transaction conflict stamp (`pair_stamp` — bumped by the
+    /// Dense per-transaction hot state: `own_version`, the
+    /// per-transaction conflict stamp (`pair_stamp` — bumped by the
     /// engine's targeted walks via [`Self::bump_pair_stamp`] for exactly
     /// the transactions whose unsafe-partial set changed), and the
     /// engine's cached priority with its validity stamps — one 64-byte
-    /// [`SlotState`] line per transaction instead of five scattered
-    /// vectors.
+    /// [`SlotState`] line per transaction.
     arena: SchedArena,
     /// Total pair-stamp bumps (targeted invalidations) performed.
     pair_invalidations: Cell<u64>,
-    static_pairs: PairCache,
-    unsafe_pairs: PairCache,
+    /// Pair tests performed (`conflicts` plus `is_unsafe` calls).
     pair_checks: Cell<u64>,
-    pair_cache_hits: Cell<u64>,
     /// Item → admitted transactions whose `might_access` contains the
     /// item, each list ascending by id. Because `accessed ⊆ might_access`
     /// (decision narrowing keeps the already-taken prefix) this is a
@@ -273,10 +100,7 @@ impl ConflictAccel {
             plist: Vec::new(),
             arena: SchedArena::with_capacity(capacity),
             pair_invalidations: Cell::new(0),
-            static_pairs: PairCache::sized_for(capacity),
-            unsafe_pairs: PairCache::sized_for(capacity),
             pair_checks: Cell::new(0),
-            pair_cache_hits: Cell::new(0),
             item_txns: vec![Vec::new(); db_size],
             indexed_items: Vec::with_capacity(capacity),
             slot_map: Vec::with_capacity(capacity),
@@ -294,9 +118,7 @@ impl ConflictAccel {
     }
 
     /// `id` departed for good (commit or admission rejection): return its
-    /// arena slot to the free list. The id's pair-cache entries need no
-    /// sweep — ids are never reused, so those keys can never be probed
-    /// again.
+    /// arena slot to the free list.
     pub(crate) fn release(&mut self, id: TxnId) {
         let slot = std::mem::replace(&mut self.slot_map[id.0 as usize], TxnSlot::RELEASED);
         debug_assert_ne!(slot, TxnSlot::RELEASED, "double release of {id}");
@@ -381,7 +203,7 @@ impl ConflictAccel {
         out.dedup();
     }
 
-    /// One cache-line copy of `id`'s hot scheduler state (versions,
+    /// One cache-line copy of `id`'s hot scheduler state (own version,
     /// conflict stamp, cached priority).
     #[inline]
     pub(crate) fn slot(&self, id: TxnId) -> SlotState {
@@ -431,10 +253,7 @@ impl ConflictAccel {
     /// and revalidates on pop. Only clears — which *raise* priorities —
     /// get an eager walk (see [`Self::note_sets_cleared`]).
     pub(crate) fn note_access_growth(&mut self, id: TxnId, was_partial: bool) {
-        self.arena.update(self.slot_idx(id), |s| {
-            s.access_version += 1;
-            s.own_version += 1;
-        });
+        self.bump_own(id);
         if !was_partial {
             let pos = self.plist.binary_search(&id).unwrap_err();
             self.plist.insert(pos, id);
@@ -446,14 +265,10 @@ impl ConflictAccel {
     /// transaction leaves the P-list.
     ///
     /// The engine performs the targeted pair-stamp walk *before* this
-    /// call, while `id`'s sets (and the memoized verdicts keyed on their
-    /// versions) still describe the contribution being removed.
+    /// call, while `id`'s sets still describe the contribution being
+    /// removed.
     pub(crate) fn note_sets_cleared(&mut self, id: TxnId) {
-        self.arena.update(self.slot_idx(id), |s| {
-            s.access_version += 1;
-            s.might_version += 1;
-            s.own_version += 1;
-        });
+        self.bump_own(id);
         let pos = self
             .plist
             .binary_search(&id)
@@ -469,8 +284,6 @@ impl ConflictAccel {
     /// `ConflictState` priority it can move is `id`'s own: one stamp
     /// bump, no walk.
     pub(crate) fn note_narrowed(&mut self, id: TxnId) {
-        self.arena
-            .update(self.slot_idx(id), |s| s.might_version += 1);
         self.bump_pair_stamp(id);
     }
 
@@ -483,66 +296,27 @@ impl ConflictAccel {
         self.plist.len()
     }
 
-    /// Memoized `is_unsafe_with(partial, candidate)` (directional), valid
-    /// while `partial`'s access sets and `candidate`'s `might_access` are
-    /// unchanged.
+    /// `is_unsafe_with(partial, candidate)` (directional), tallied in
+    /// `pair_checks`.
     pub(crate) fn is_unsafe(&self, partial: &Transaction, candidate: &Transaction) -> bool {
         self.pair_checks.set(self.pair_checks.get() + 1);
-        let versions = (
-            self.arena.get(self.slot_idx(partial.id)).access_version,
-            self.arena.get(self.slot_idx(candidate.id)).might_version,
-        );
-        let key = pair_key(partial.id, candidate.id);
-        if let Some(result) = self.unsafe_pairs.get(key, versions) {
-            self.pair_cache_hits.set(self.pair_cache_hits.get() + 1);
-            return result;
-        }
-        let result = is_unsafe_with(partial, candidate);
-        self.unsafe_pairs.put(key, versions, result);
-        result
+        is_unsafe_with(partial, candidate)
     }
 
-    /// Memoized symmetric `a.conflicts_with(b)`, valid while both sides'
-    /// `might_access` sets are unchanged.
+    /// Symmetric `a.conflicts_with(b)`, evaluated lower id first and
+    /// tallied in `pair_checks`.
     pub(crate) fn conflicts(&self, a: &Transaction, b: &Transaction) -> bool {
         self.pair_checks.set(self.pair_checks.get() + 1);
         let (lo, hi) = if a.id <= b.id { (a, b) } else { (b, a) };
-        let versions = (
-            self.arena.get(self.slot_idx(lo.id)).might_version,
-            self.arena.get(self.slot_idx(hi.id)).might_version,
-        );
-        let key = pair_key(lo.id, hi.id);
-        if let Some(result) = self.static_pairs.get(key, versions) {
-            self.pair_cache_hits.set(self.pair_cache_hits.get() + 1);
-            return result;
-        }
-        let result = lo.conflicts_with(hi);
-        self.static_pairs.put(key, versions, result);
-        result
+        lo.conflicts_with(hi)
     }
 
     pub(crate) fn pair_checks(&self) -> u64 {
         self.pair_checks.get()
     }
 
-    pub(crate) fn pair_cache_hits(&self) -> u64 {
-        self.pair_cache_hits.get()
-    }
-
     pub(crate) fn pair_invalidations(&self) -> u64 {
         self.pair_invalidations.get()
-    }
-
-    /// Live entries dropped from the two pair caches by colliding pairs
-    /// (thrash signal; see [`PairCache`]).
-    pub(crate) fn pair_cache_evictions(&self) -> u64 {
-        self.static_pairs.evictions() + self.unsafe_pairs.evictions()
-    }
-
-    /// Victim-way lookups performed by the two pair caches after a
-    /// primary-slot miss (see [`PairCache`]).
-    pub(crate) fn pair_cache_probes(&self) -> u64 {
-        self.static_pairs.probes() + self.unsafe_pairs.probes()
     }
 }
 
@@ -618,12 +392,12 @@ mod tests {
         a.register(TxnId(1));
         let mut partial = mk(0, &[1, 2]);
         let candidate = mk(1, &[1, 9]);
-        // No overlap with accessed yet → safe; the verdict is cached.
+        // No overlap with accessed yet → safe, however often asked.
         assert!(!a.is_unsafe(&partial, &candidate));
         assert!(!a.is_unsafe(&partial, &candidate));
-        assert_eq!(a.pair_cache_hits(), 1);
-        // The partial writes item 1. Without the version bump the stale
-        // "safe" verdict would be returned; with it, recomputed.
+        assert_eq!(a.pair_checks(), 2);
+        // The partial writes item 1, which the candidate might access:
+        // the very next test sees the grown sets.
         partial.accessed.insert(ItemId(1));
         partial.written.insert(ItemId(1));
         a.note_access_growth(TxnId(0), false);
@@ -639,12 +413,13 @@ mod tests {
         let mut x = mk(0, &[1, 2]);
         let y = mk(1, &[2, 3]);
         assert!(a.conflicts(&x, &y));
-        assert!(a.conflicts(&y, &x), "symmetric lookup hits the same entry");
-        assert_eq!(a.pair_cache_hits(), 1);
-        // Narrow x away from the overlap; the verdict flips.
+        assert_eq!(a.conflicts(&x, &y), a.conflicts(&y, &x));
+        // Narrow x away from the overlap; the verdict flips both ways.
         x.might_access = DataSet::from_items([ItemId(1)]);
         a.note_narrowed(TxnId(0));
         assert!(!a.conflicts(&x, &y));
+        assert_eq!(a.conflicts(&x, &y), a.conflicts(&y, &x));
+        assert_eq!(a.pair_checks(), 6);
     }
 
     #[test]
@@ -665,7 +440,7 @@ mod tests {
         assert!(a.pair_stamp(TxnId(2)) > s2);
         assert_eq!(a.pair_stamp(TxnId(0)), 0);
         assert_eq!(a.pair_invalidations(), inv + 1);
-        // Growth and clearing keep version counters moving but leave the
+        // Growth and clearing bump only `own_version` and leave the
         // cross-transaction stamping to the engine's walk.
         a.note_access_growth(TxnId(0), false);
         a.note_sets_cleared(TxnId(0));
@@ -731,79 +506,5 @@ mod tests {
         a.reindex(TxnId(1), &DataSet::from_items([ItemId(1), ItemId(9)]));
         a.sharers(&DataSet::from_items([ItemId(1), ItemId(9)]), &mut out);
         assert_eq!(out, vec![TxnId(0), TxnId(1), TxnId(2)]);
-    }
-
-    #[test]
-    fn pair_cache_counts_evictions() {
-        let c = PairCache::with_bits(PAIR_CACHE_MIN_BITS);
-        let k1 = 1u64;
-        let target = c.slot_of(k1);
-        let mut colliding = (2u64..).filter(|&k| c.slot_of(k) == target);
-        let k2 = colliding.next().expect("lossy cache has colliding keys");
-        let k3 = colliding.next().expect("lossy cache has colliding keys");
-        c.put(k1, (0, 0), true);
-        assert_eq!(c.evictions(), 0);
-        // Refreshing the same pair under new versions is not an eviction.
-        c.put(k1, (1, 0), false);
-        assert_eq!(c.evictions(), 0);
-        // A colliding pair displaces k1 into the (empty) victim way:
-        // nothing leaves the cache yet, and k1 is still readable there.
-        c.put(k2, (0, 0), true);
-        assert_eq!(c.evictions(), 0);
-        let probes = c.probes();
-        assert_eq!(c.get(k1, (1, 0)), Some(false), "victim way serves k1");
-        assert!(c.probes() > probes, "victim-way lookups are counted");
-        // A third colliding pair finally drops one of them.
-        c.put(k3, (0, 0), true);
-        assert_eq!(c.evictions(), 1);
-    }
-
-    #[test]
-    fn pair_cache_capacity_is_mpl_derived_power_of_two() {
-        // The budget is 4 × capacity², clamped to [2^13, 2^18] slots.
-        for (capacity, bits) in [
-            (0, 13),
-            (1, 13),
-            (45, 13),
-            (64, 14),
-            (128, 16),
-            (256, 18),
-            (1024, 18),
-            (1_000_000, 18),
-        ] {
-            let got = PairCache::bits_for_capacity(capacity);
-            assert_eq!(got, bits, "capacity {capacity}");
-            let cache = PairCache::sized_for(capacity);
-            assert!(cache.len().is_power_of_two());
-            assert_eq!(cache.len(), 1 << bits);
-        }
-        // The accel sizes both of its caches from the admitted-transaction
-        // capacity.
-        let a = ConflictAccel::new(1024, 64);
-        assert_eq!(a.static_pairs.len(), 1 << PAIR_CACHE_MAX_BITS);
-        assert_eq!(a.unsafe_pairs.len(), 1 << PAIR_CACHE_MAX_BITS);
-    }
-
-    #[test]
-    fn pair_cache_victim_way_shares_the_bucket() {
-        let c = PairCache::with_bits(PAIR_CACHE_MIN_BITS);
-        let k1 = 1u64;
-        let target = c.slot_of(k1);
-        let k2 = (2u64..)
-            .find(|&k| c.slot_of(k) == target)
-            .expect("lossy cache has colliding keys");
-        c.put(k1, (0, 0), true);
-        c.put(k2, (7, 7), false);
-        // Both colliding pairs are live at once — one per way.
-        assert_eq!(c.get(k1, (0, 0)), Some(true));
-        assert_eq!(c.get(k2, (7, 7)), Some(false));
-        // Version-stale entries still miss in either way.
-        assert_eq!(c.get(k1, (0, 1)), None);
-        assert_eq!(c.get(k2, (7, 8)), None);
-        // Refreshing the displaced pair updates it in place (no eviction).
-        c.put(k1, (0, 1), false);
-        assert_eq!(c.evictions(), 0);
-        assert_eq!(c.get(k1, (0, 1)), Some(false));
-        assert_eq!(c.get(k2, (7, 7)), Some(false));
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! [`CacheMode::AlwaysRecompute`] preserves the pre-incremental engine
 //! verbatim — full rescans of `active` for the P-list, ready counts, and
-//! feasibility, with no priority or conflict memoization. `Incremental`
-//! is the production path. `Verify` runs the incremental path while
-//! asserting at every use that each cached priority is **bit-identical**
-//! to a freshly computed one and that the maintained P-list and ready
-//! counters equal full scans — i.e. the per-decision winner is checked
-//! against the recompute oracle inside the engine itself.
+//! feasibility, with no priority cache. `Incremental` is the production
+//! path. `Verify` runs the incremental path while asserting at every use
+//! that each cached priority is **bit-identical** to a freshly computed
+//! one and that the maintained P-list and ready counters equal full
+//! scans — i.e. the per-decision winner is checked against the recompute
+//! oracle inside the engine itself.
 //!
 //! These tests pin that all three modes produce identical trajectories
 //! and metrics (modulo the scheduler's own instrumentation counters) on
@@ -234,9 +234,8 @@ proptest! {
             "verify mode diverged from the recompute oracle under {}",
             p.name()
         );
-        // The oracle never consults the caches.
+        // The oracle never consults the priority cache.
         prop_assert_eq!(oracle.sched.priority_cache_hits, 0);
-        prop_assert_eq!(oracle.sched.pair_cache_hits, 0);
     }
 
     /// Stale-key stress: a tiny database and tight slack make every
@@ -478,7 +477,7 @@ fn mpl256_burst_heap_determinism() {
 /// MPL-1024 burst under `CacheMode::Verify`: every cached priority the
 /// pick path consults is bit-checked against a fresh evaluation, and the
 /// maintained P-list and ready counts are checked against full scans, at
-/// the contention level where the lazy index and the pair cache work
+/// the contention level where the lazy index and the repair walk work
 /// hardest. Slow (minutes) — run explicitly in CI via `--ignored`.
 #[test]
 #[ignore = "verify-mode smoke at MPL 1024 is slow; CI runs it explicitly"]
