@@ -119,10 +119,8 @@ fn bench_lock_table(c: &mut Criterion) {
 /// One scheduling decision over a frozen n-deep system: the lazy-heap
 /// pick path ([`CacheMode::Incremental`]) against the verbatim full
 /// scan ([`CacheMode::AlwaysRecompute`]), for both ConflictState
-/// policies. `warm` measures the steady state (caches populated, heap
-/// current — the amortized O(log n) claim); `cold` invalidates every
-/// cached priority before each pick, so the pick pays a full recompute
-/// plus heap rebuild (the worst case the laziness can produce).
+/// policies. `warm` measures the steady state (index keys already
+/// tightened by earlier picks — the amortized O(log n) claim).
 fn bench_best_by_priority(c: &mut Criterion) {
     use rtx_rtdb::engine::PickHarness;
     use rtx_rtdb::{CacheMode, SimConfig};
@@ -153,18 +151,6 @@ fn bench_best_by_priority(c: &mut Criterion) {
                 BenchmarkId::new(format!("{name}_heap_warm"), mpl),
                 &mpl,
                 |b, _| b.iter(|| black_box(heap_warm.pick())),
-            );
-            let mut heap_cold =
-                PickHarness::new(&cfg, policy.as_ref(), txns.clone(), CacheMode::Incremental);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}_heap_cold"), mpl),
-                &mpl,
-                |b, _| {
-                    b.iter(|| {
-                        heap_cold.invalidate_conflict_caches();
-                        black_box(heap_cold.pick())
-                    })
-                },
             );
             let scan = PickHarness::new(
                 &cfg,

@@ -180,7 +180,6 @@ fn run_cell(
         cell.sched.heap_pushes += s.sched.heap_pushes;
         cell.sched.heap_stale_pops += s.sched.heap_stale_pops;
         cell.sched.heap_validated_picks += s.sched.heap_validated_picks;
-        cell.sched.pair_invalidations += s.sched.pair_invalidations;
         cell.sched.pair_cache_evictions += s.sched.pair_cache_evictions;
         cell.sched.clear_repair_clears += s.sched.clear_repair_clears;
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
@@ -201,7 +200,7 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"priority_evals\": {},\n{indent}  \"priority_cache_hits\": {},\n\
          {indent}  \"pair_checks\": {},\n{indent}  \"pair_cache_hits\": {},\n\
          {indent}  \"heap_pushes\": {},\n{indent}  \"heap_stale_pops\": {},\n\
-         {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_invalidations\": {},\n\
+         {indent}  \"heap_validated_picks\": {},\n\
          {indent}  \"pair_cache_evictions\": {},\n\
          {indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n\
@@ -216,7 +215,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.heap_pushes,
         cell.sched.heap_stale_pops,
         cell.sched.heap_validated_picks,
-        cell.sched.pair_invalidations,
         cell.sched.pair_cache_evictions,
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,

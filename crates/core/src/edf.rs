@@ -25,7 +25,7 @@ impl Policy for EdfHp {
     }
 
     fn depends_on(&self) -> PriorityDeps {
-        // The deadline is fixed at arrival: compute once, cache forever.
+        // The deadline is fixed at arrival: the index key stays exact.
         PriorityDeps::Static
     }
 }

@@ -49,12 +49,11 @@ impl Policy for EdfWait {
     fn depends_on(&self) -> PriorityDeps {
         // The victim count reads P-list membership and access sets, and
         // nothing else about other transactions — exactly the set of
-        // unsafe partials that per-transaction conflict stamps track, so
-        // targeted invalidation is sufficient. Fall-monotonicity holds
+        // unsafe partials the contract allows. Fall-monotonicity holds
         // trivially: growth can only add victims (priority falls, which
         // the lazy heap tolerates), a clear removes them (eager walk),
-        // and there is no dependence on the victims' service at all — a
-        // cached value survives clock advances bit-exactly.
+        // and there is no dependence on the victims' service at all — an
+        // exact key survives clock advances bit-exactly.
         PriorityDeps::ConflictState
     }
 }

@@ -20,7 +20,7 @@ impl Policy for Fcfs {
     }
 
     fn depends_on(&self) -> PriorityDeps {
-        // The arrival time never changes: compute once, cache forever.
+        // The arrival time never changes: the index key stays exact.
         PriorityDeps::Static
     }
 }

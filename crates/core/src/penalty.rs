@@ -40,7 +40,7 @@ pub use rtx_rtdb::txn::is_unsafe_with;
 /// monotonically under access growth and clock advance, so those events
 /// only *raise* the penalty (lower the priority); only a partial's
 /// clear shrinks it. The engine exploits exactly this shape: eager
-/// per-transaction stamp bumps on clears, lazy stale-high tolerance for
+/// index-key repairs on clears, lazy stale-high tolerance for
 /// everything else.
 pub fn penalty_of_conflict(candidate: &Transaction, view: &SystemView<'_>) -> SimDuration {
     let mut total = SimDuration::ZERO;

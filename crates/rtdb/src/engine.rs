@@ -112,9 +112,9 @@ impl PartialOrd for HeapEntry {
 /// The lazy max-heap priority index: a position-tracked binary heap with
 /// exactly one entry per indexed transaction.
 ///
-/// Position tracking (`pos`) is what makes conflict-epoch invalidation
-/// O(log n) *in place*: a clear repairs each affected transaction's key
-/// with [`PriorityIndex::set_key`] (a sift, no duplicate entry, no
+/// Position tracking (`pos`) is what makes a clear repair O(log n) *in
+/// place*: a clear repairs each affected transaction's key with
+/// [`PriorityIndex::set_key`] (a sift, no duplicate entry, no
 /// rebuild), and a lazy-fall demotion during pick validation is the same
 /// operation downwards. The old duplicate-entry design paid an eval +
 /// push + eventual stale pop per repaired transaction; this pays a few
@@ -313,10 +313,10 @@ struct EngineState<'p> {
     /// Measure wall time in `pick_next`? Off in normal runs so summaries
     /// stay comparable across machines.
     profile: bool,
-    /// Incrementally maintained conflict state: the P-list, per-txn
-    /// version counters, the pairwise conflict memo and the epoch. Kept
-    /// up to date in every mode (it is the ground truth `Verify` checks
-    /// the scans against); only *consulted* outside `AlwaysRecompute`.
+    /// Incrementally maintained conflict state: the P-list and the
+    /// item→transaction reverse index. Kept up to date in every mode (it
+    /// is the ground truth `Verify` checks the scans against); only
+    /// *consulted* outside `AlwaysRecompute`.
     accel: ConflictAccel,
     /// Number of active transactions in `TxnState::Ready`, maintained by
     /// [`Self::set_state`] — replaces the per-event ready-queue scan.
@@ -331,11 +331,11 @@ struct EngineState<'p> {
     /// The lazy priority index over active transactions (used for
     /// `Static` and `ConflictState` policies outside `AlwaysRecompute`).
     /// Exactly one entry per active transaction — seeded at arrival,
-    /// repositioned in place whenever the cache is written, and removed
-    /// at commit. Invariant: an active transaction's key is bit-identical
-    /// to its cached priority in the accelerator's slot arena, itself an
-    /// upper bound on the exact priority (falls are tolerated lazily and
-    /// demoted by the validated pick).
+    /// re-keyed in place whenever an exact evaluation or a clear repair
+    /// moves it, and removed at commit. The key is the only stored
+    /// priority: bit-identical to the exact priority for `Static`
+    /// policies, an upper bound on it for `ConflictState` ones (falls are
+    /// tolerated lazily and demoted by the validated pick).
     index: RefCell<PriorityIndex>,
     /// Slack-ordered pick index for `TimeAndSelf` policies exposing a
     /// time-invariant key (`Policy::time_invariant_key`; LSF): keys hold
@@ -352,14 +352,13 @@ struct EngineState<'p> {
     /// while scanning are re-inserted afterwards; reused to avoid
     /// per-pick allocation.
     scratch: RefCell<Vec<HeapEntry>>,
-    /// Scratch buffer for the targeted pair-stamp walks.
+    /// Scratch buffer for the clear-repair walks.
     walk_buf: Vec<TxnId>,
     /// Scratch buffer for reverse-index sharer enumeration.
     sharer_buf: RefCell<Vec<TxnId>>,
     // Scheduler-overhead tallies (Cells: bumped from &self paths).
     pick_next_calls: Cell<u64>,
     priority_evals: Cell<u64>,
-    priority_cache_hits: Cell<u64>,
     sched_wall_ns: Cell<u64>,
     heap_pushes: Cell<u64>,
     heap_stale_pops: Cell<u64>,
@@ -372,10 +371,10 @@ struct EngineState<'p> {
     clear_repair_visits: Cell<u64>,
 }
 
-/// `v` plus a floating-point safety margin: used when repairing a cached
-/// upper bound by an exact real-arithmetic delta, so the repaired key
-/// stays an upper bound even after the roundings the fresh evaluation and
-/// the repair perform differently.
+/// `v` plus a floating-point safety margin: used when repairing an
+/// upper-bound index key by an exact real-arithmetic delta, so the
+/// repaired key stays an upper bound even after the roundings the fresh
+/// evaluation and the repair perform differently.
 ///
 /// The margin scales with `scale` — the largest magnitude appearing in
 /// *either* computation — not with `v` itself: a repair can cancel (an
@@ -453,7 +452,6 @@ impl<'p> EngineState<'p> {
             sharer_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
             priority_evals: Cell::new(0),
-            priority_cache_hits: Cell::new(0),
             sched_wall_ns: Cell::new(0),
             heap_pushes: Cell::new(0),
             heap_stale_pops: Cell::new(0),
@@ -465,8 +463,8 @@ impl<'p> EngineState<'p> {
     }
 
     /// Is the lazy priority heap the pick path for this run? True for
-    /// policies whose cached priorities survive across scheduling points
-    /// (`Static`, and `ConflictState` under per-pair stamps).
+    /// policies whose index keys survive across scheduling points
+    /// (`Static` exactly, `ConflictState` as upper bounds).
     /// `TimeAndSelf` and `Volatile` priorities move with every clock
     /// advance, so a heap over them would be rebuilt per pick — the scan
     /// is strictly cheaper. `AlwaysRecompute` keeps the verbatim pre-heap
@@ -581,10 +579,10 @@ impl<'p> EngineState<'p> {
         r
     }
 
-    /// Do conflict events perform targeted per-pair invalidation? Only
-    /// worth the walk when a `ConflictState` policy actually reads the
-    /// stamps; the `AlwaysRecompute` oracle never consults any cache.
-    fn targeted_invalidation_active(&self) -> bool {
+    /// Do clears repair the index keys of the transactions they raise?
+    /// Only `ConflictState` priorities rise on a clear; the
+    /// `AlwaysRecompute` oracle keeps no index.
+    fn clear_repair_active(&self) -> bool {
         self.mode != CacheMode::AlwaysRecompute
             && matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
     }
@@ -596,19 +594,19 @@ impl<'p> EngineState<'p> {
     /// maintenance: growth can only *add* nonnegative penalty terms, i.e.
     /// only *lower* other `ConflictState` priorities (see
     /// `PriorityDeps::ConflictState`'s fall-monotonicity clause), and
-    /// `id`'s own priority never reads its own access sets. Cached values
-    /// and index keys become stale-high upper bounds, which the
-    /// peek-and-revalidate pick tolerates — the O(active) per-grant walk
-    /// is traded for an occasional demotion at the next pick.
+    /// `id`'s own priority never reads its own access sets. Index keys
+    /// become stale-high upper bounds, which the peek-and-revalidate pick
+    /// tolerates — the O(active) per-grant walk is traded for an
+    /// occasional demotion at the next pick.
     fn conflict_grew(&mut self, id: TxnId, was_partial: bool) {
         self.accel.note_access_growth(id, was_partial);
     }
 
     /// `id`'s access sets are about to be cleared (abort/restart or
-    /// commit): repair the cached priorities of the transactions whose
-    /// penalty currently includes `id` — the walk runs *before* the
-    /// clearing so the still-valid memo describes the contribution being
-    /// removed — then record the clearing.
+    /// commit): repair the index keys of the transactions whose penalty
+    /// currently includes `id` — the walk runs *before* the clearing so
+    /// `id`'s sets still describe the contribution being removed — then
+    /// record the clearing.
     ///
     /// This is the **one** conflict event that keeps an eager walk: a
     /// clear removes penalty terms, i.e. *raises* the affected
@@ -616,25 +614,24 @@ impl<'p> EngineState<'p> {
     /// low index key would make a peek-ordered pick unsound. Falls
     /// (growth, clock advance) need no walk — see [`Self::conflict_grew`].
     fn conflict_cleared(&mut self, id: TxnId) {
-        if self.targeted_invalidation_active() {
+        if self.clear_repair_active() {
             self.repair_unsafe_against(id);
         }
         self.accel.note_sets_cleared(id);
     }
 
-    /// The targeted per-pair walk on a clear: for every active
-    /// transaction `X` with `is_unsafe(c, X)` — exactly those whose
-    /// penalty is about to lose `c`'s term — bump `X`'s pair stamp (its
-    /// conflict epoch moved) and *repair* its cached priority and index
-    /// key in place, in O(1) per victim, with no exact recomputation:
+    /// The repair walk on a clear: for every active transaction `X` with
+    /// `is_unsafe(c, X)` — exactly those whose penalty is about to lose
+    /// `c`'s term — *repair* its index key in place, in O(1) per victim,
+    /// with no exact recomputation:
     ///
     /// Removing `c`'s term raises a victim's priority by at most the
     /// policy-supplied [`Policy::conflict_clear_raise`] bound (for CCA,
     /// `w · (effective_service(c) + abort_cost)` — the exact term every
     /// victim loses). Adding that bound (plus a few ULPs of rounding
-    /// slack) to the victim's cached value, itself an upper bound,
-    /// yields a new upper bound on the post-clear priority; the pick
-    /// path's revalidation tightens it exactly when (and only when) the
+    /// slack) to the victim's key, itself an upper bound, yields a new
+    /// upper bound on the post-clear priority; the pick path's
+    /// revalidation tightens it exactly when (and only when) the
     /// victim surfaces at the top. The old design recomputed and
     /// re-pushed every victim here — O(victims) full evaluations per
     /// clear, which dominated high-contention runs.
@@ -646,7 +643,7 @@ impl<'p> EngineState<'p> {
     /// an item with `c.accessed` — a sound superset of the unsafe set,
     /// since either direction of `is_unsafe_with(c, x)` requires such a
     /// shared item (`written ⊆ accessed ⊆ might_access`). The other
-    /// active transactions keep their cached priorities untouched, and
+    /// active transactions keep their keys untouched, and
     /// the walk's cost scales with `c`'s conflicting set, not with MPL
     /// (`clear_repair_visits` evidences this).
     fn repair_unsafe_against(&mut self, c: TxnId) {
@@ -683,19 +680,14 @@ impl<'p> EngineState<'p> {
                 self.verify_checks.set(self.verify_checks.get() + 1);
             }
         }
+        debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
         for &x in &affected {
-            self.accel.bump_pair_stamp(x);
-            let bound = {
-                let s = self.accel.slot(x);
-                debug_assert!(
-                    s.pri_valid() && s.pri_value.0.is_finite(),
-                    "{x}: active ConflictState transaction without a seeded cache entry"
-                );
-                debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
-                let value = s.pri_value;
-                Priority(nudge_up(value.0 + raise, value.0.abs().max(raise)))
-            };
-            self.accel.write_pri(x, bound, self.now());
+            let key = self
+                .index
+                .borrow()
+                .key_of(x)
+                .expect("active ConflictState transaction without an index key");
+            let bound = Priority(nudge_up(key.0 + raise, key.0.abs().max(raise)));
             self.index_upsert(x, bound);
         }
         affected.clear();
@@ -717,155 +709,21 @@ impl<'p> EngineState<'p> {
         SystemView::new(self.now(), &self.txns, self.cfg.system.abort_cost())
     }
 
-    /// The cached priority of `id` under the active cache mode.
-    ///
-    /// Cache validity is what the policy's [`PriorityDeps`] declares:
-    /// `Static` entries never expire, `TimeAndSelf` entries expire when
-    /// time advances or the transaction's own state changes,
-    /// `ConflictState` entries expire when the transaction's own state or
-    /// its per-pair conflict stamp moves. `Volatile` (and the
-    /// `AlwaysRecompute` oracle) bypass the cache entirely.
-    ///
-    /// **Exactness.** For every dependency class but `ConflictState` a
-    /// hit is bit-exact. A surviving `ConflictState` entry is only an
-    /// **upper bound** on the fresh value: the engine deliberately does
-    /// not bump stamps on priority *falls* (another transaction's access
-    /// growth, effective service accruing with the clock) — only on
-    /// *raises* (clears; see [`Self::conflict_cleared`]). Decision points
-    /// that need the exact value go through [`Self::priority_exact`];
-    /// this path feeds the heap keys and the non-`ConflictState` scans.
-    /// In `Verify` mode the returned value is asserted against a fresh
-    /// scan-based recomputation — bit-identical where the path claims
-    /// exactness, `>=` where it claims an upper bound.
-    ///
-    /// When the priority index is in use, every cache *write* also moves
-    /// the transaction's index key to the new value in place — the
-    /// paired-writes invariant (an active transaction's index key is
-    /// bit-identical to its cached value at all times).
+    /// The exact priority of `id`: one policy evaluation against the
+    /// accel-backed view (or the scan-based view in `AlwaysRecompute`).
+    /// Nothing is cached — the priority index keys are the only stored
+    /// priorities. In `Verify` mode the value is asserted bit-identical to
+    /// an evaluation against a fresh scan-based view.
     fn priority_of(&self, id: TxnId) -> Priority {
-        let mut upper_bound_hit = false;
-        let result = if self.mode == CacheMode::AlwaysRecompute {
-            self.priority_evals.set(self.priority_evals.get() + 1);
-            self.policy.priority(self.txn(id), &self.view())
-        } else {
-            let deps = self.policy.depends_on();
-            if deps == PriorityDeps::Volatile {
-                self.priority_evals.set(self.priority_evals.get() + 1);
-                self.policy.priority(self.txn(id), &self.view())
-            } else {
-                let now = self.now();
-                // One cache-line read covers both the cached priority
-                // and the live versions it is keyed against.
-                let s = self.accel.slot(id);
-                let hit = s.pri_valid()
-                    && match deps {
-                        PriorityDeps::Static => true,
-                        PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                        PriorityDeps::ConflictState => {
-                            s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
-                        }
-                        PriorityDeps::Volatile => unreachable!("handled above"),
-                    };
-                if hit {
-                    upper_bound_hit = matches!(deps, PriorityDeps::ConflictState);
-                    self.priority_cache_hits
-                        .set(self.priority_cache_hits.get() + 1);
-                    s.pri_value
-                } else {
-                    self.priority_evals.set(self.priority_evals.get() + 1);
-                    let value = self.policy.priority(self.txn(id), &self.view());
-                    self.accel.write_pri(id, value, now);
-                    if self.heap_in_use() {
-                        self.index_upsert(id, value);
-                    }
-                    value
-                }
-            }
-        };
-        if self.mode == CacheMode::Verify {
-            let fresh = self.policy.priority(self.txn(id), &self.fresh_view());
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            if upper_bound_hit {
-                assert!(
-                    result >= fresh,
-                    "{id}: surviving ConflictState entry {} < fresh {} \
-                     (a priority rise escaped the clear walk)",
-                    result.0,
-                    fresh.0
-                );
-            } else {
-                assert_eq!(
-                    result.0.to_bits(),
-                    fresh.0.to_bits(),
-                    "{id}: cached priority {} != fresh {} (stale invalidation?)",
-                    result.0,
-                    fresh.0
-                );
-            }
-        }
-        result
-    }
-
-    /// The **exact** priority of `id` — what scheduling decisions (heap
-    /// pick validation, wound/HP lock-conflict comparisons) consume.
-    ///
-    /// For every dependency class but `ConflictState` the cached path is
-    /// already exact and this delegates to [`Self::priority_of`]. For
-    /// `ConflictState` under lazy falls a surviving entry may be
-    /// stale-high, so the value is recomputed against the accel-backed
-    /// view (direct one-word set tests keep this O(P-list), and the P-list
-    /// stays near-empty in exactly the high-contention regimes that made
-    /// the old per-event walks explode). A recompute that *confirms* the
-    /// surviving entry counts as a cache hit and leaves cache and index
-    /// untouched; a fall rewrites the entry and demotes the index key in
-    /// place — which is exactly how the pick loop retires a stale top.
-    fn priority_exact(&self, id: TxnId) -> Priority {
-        self.priority_exact_impl(id, true)
-    }
-
-    /// [`Self::priority_exact`] minus the index write: for the pick loop,
-    /// which lifts a stale entry out of the index and re-parks it under
-    /// the exact value itself (an in-place re-key here would be a wasted
-    /// sift). Cache write, counters and `Verify` assertions are
-    /// identical.
-    fn priority_exact_detached(&self, id: TxnId) -> Priority {
-        self.priority_exact_impl(id, false)
-    }
-
-    fn priority_exact_impl(&self, id: TxnId, write_index: bool) -> Priority {
-        if self.mode == CacheMode::AlwaysRecompute
-            || !matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
-        {
-            // The delegate is exact for these classes. It only touches
-            // the index on a `ConflictState` miss, so a detached caller
-            // (`Static`: hits after the arrival seed; `TimeAndSelf`/
-            // `Volatile`: no index at all) is never double-inserted.
-            return self.priority_of(id);
-        }
+        self.priority_evals.set(self.priority_evals.get() + 1);
         let value = self.policy.priority(self.txn(id), &self.view());
-        let now = self.now();
-        let s = self.accel.slot(id);
-        let confirmed = s.pri_valid()
-            && s.pri_stamp == s.pair_stamp
-            && s.pri_own == s.own_version
-            && s.pri_value.0.to_bits() == value.0.to_bits();
-        if confirmed {
-            self.priority_cache_hits
-                .set(self.priority_cache_hits.get() + 1);
-        } else {
-            self.priority_evals.set(self.priority_evals.get() + 1);
-            self.accel.write_pri(id, value, now);
-            if write_index && self.heap_in_use() {
-                self.index_upsert(id, value);
-            }
-        }
         if self.mode == CacheMode::Verify {
             let fresh = self.policy.priority(self.txn(id), &self.fresh_view());
             self.verify_checks.set(self.verify_checks.get() + 1);
             assert_eq!(
                 value.0.to_bits(),
                 fresh.0.to_bits(),
-                "{id}: exact priority {} != fresh {} (accel view diverged)",
+                "{id}: priority {} != fresh {} (accel view diverged)",
                 value.0,
                 fresh.0
             );
@@ -873,9 +731,24 @@ impl<'p> EngineState<'p> {
         value
     }
 
+    /// [`Self::priority_of`], and re-key `id` in the priority index when
+    /// its key differs — what decisions outside the pick loop (arrival
+    /// seeding, narrowing, wound/HP comparisons) use, so a `ConflictState`
+    /// key they find stale-high is tightened to the exact value.
+    fn priority_exact(&self, id: TxnId) -> Priority {
+        let value = self.priority_of(id);
+        if self.heap_in_use() {
+            let key = self.index.borrow().key_of(id);
+            if key.map(|k| k.0.to_bits()) != Some(value.0.to_bits()) {
+                self.index_upsert(id, value);
+            }
+        }
+        value
+    }
+
     /// Move `id`'s index key to `value` in place (or insert it if `id`
-    /// has no entry yet) — the index half of every priority-cache write.
-    /// O(log n) sift; never creates a duplicate entry.
+    /// has no entry yet). O(log n) sift; never creates a duplicate
+    /// entry.
     fn index_upsert(&self, id: TxnId, value: Priority) {
         self.index.borrow_mut().upsert(HeapEntry {
             pri: value,
@@ -893,8 +766,8 @@ impl<'p> EngineState<'p> {
         let deadline = txn.deadline;
         // Register with the acceleration layer before anything can look at
         // the new id — rejected transactions too, so the id-indexed
-        // version/cache vectors stay dense. Arrival changes no conflict
-        // state (a fresh transaction holds nothing), so no epoch bump.
+        // footprint vector stays dense. Arrival changes no conflict state
+        // (a fresh transaction holds nothing), so nothing is repaired.
         self.accel.register(id);
         if self.cfg.system.admission.is_some() {
             self.adm_maybe_roll();
@@ -906,9 +779,6 @@ impl<'p> EngineState<'p> {
                 self.txns.push(txn);
                 self.secondary.push(false);
                 self.state_tags.push(TxnState::Rejected);
-                // A rejected transaction never becomes active, so its
-                // arena slot goes straight back to the free list.
-                self.accel.release(id);
                 self.metrics.record_rejection();
                 self.emit(|| TraceEvent::Rejected { txn: id, deadline });
                 if let Some(sink) = &mut self.completions {
@@ -932,12 +802,12 @@ impl<'p> EngineState<'p> {
         self.ready_count += 1;
         // Enter the reverse index under the admitted footprint (only
         // admitted transactions are ever indexed — repairs must not
-        // touch rejected slots' unseeded caches).
+        // touch rejected transactions, which have no index key).
         self.accel
             .reindex(id, &self.txns[id.0 as usize].might_access);
-        // Seed the newcomer's cache entry and index key eagerly: the
-        // index must hold exactly one entry per active transaction before
-        // the next pick can trust its peek.
+        // Seed the newcomer's index key eagerly: the index must hold
+        // exactly one entry per active transaction before the next pick
+        // can trust its peek.
         if self.heap_in_use() {
             self.priority_exact(id);
         }
@@ -1060,8 +930,8 @@ impl<'p> EngineState<'p> {
                     // Injected transient CPU stall: the burst ran its full
                     // (possibly inflated) length and its result is
                     // discarded. The effective service still banks — it
-                    // accrued continuously while the burst ran, and cached
-                    // priority keys must stay upper bounds — but no
+                    // accrued continuously while the burst ran, and index
+                    // keys must stay upper bounds — but no
                     // progress is made; the work is counted wasted
                     // instead, and the update's burst will be re-run from
                     // scratch (or the transaction restarted) by the stall
@@ -1072,7 +942,6 @@ impl<'p> EngineState<'p> {
                         t.cpu_left = SimDuration::ZERO;
                     }
                     self.metrics.add_wasted_cpu(burst);
-                    self.accel.bump_own(id);
                     self.slack_upsert(id);
                     self.running = None;
                     self.handle_cpu_stall(id);
@@ -1090,17 +959,15 @@ impl<'p> EngineState<'p> {
                     // its update, narrowing the analytic mightaccess.
                     t.maybe_execute_decision()
                 };
-                // Progress/service moved: own-state-dependent priorities
-                // (LSF) must recompute — lazily; under `ConflictState`
-                // deps own service never raises the owner's priority, so
-                // the stale index key stays an upper bound. A narrowing
-                // additionally changes how the partials relate to *this*
-                // transaction — and only this one (`is_unsafe` never
-                // reads a partial's `might_access`) — and can *raise* its
-                // priority, so refresh its key eagerly and exactly.
-                self.accel.bump_own(id);
+                // Progress/service moved: the slack key (LSF) is re-keyed
+                // below; under `ConflictState` deps own service never
+                // raises the owner's priority, so the stale index key
+                // stays an upper bound. A narrowing changes how the
+                // partials relate to *this* transaction — and only this
+                // one (`is_unsafe` never reads a partial's `might_access`)
+                // — and can *raise* its priority, so refresh its key
+                // eagerly and exactly.
                 if narrowed {
-                    self.accel.note_narrowed(id);
                     self.accel
                         .reindex(id, &self.txns[id.0 as usize].might_access);
                     if self.heap_in_use() {
@@ -1217,7 +1084,7 @@ impl<'p> EngineState<'p> {
             self.metrics.record_restart(was_secondary);
             self.secondary[id.0 as usize] = false;
             // The restart clears the access sets (and re-widens a
-            // narrowed mightaccess): leave the P-list, invalidate pairs.
+            // narrowed mightaccess): leave the P-list, repair the keys.
             self.conflict_cleared(id);
             self.txn_mut(id).reset_for_restart();
             self.accel
@@ -1267,7 +1134,7 @@ impl<'p> EngineState<'p> {
             self.metrics.record_restart(was_secondary);
             self.secondary[id.0 as usize] = false;
             // The restart clears the access sets (and re-widens a
-            // narrowed mightaccess): leave the P-list, invalidate pairs.
+            // narrowed mightaccess): leave the P-list, repair the keys.
             self.conflict_cleared(id);
             self.txn_mut(id).reset_for_restart();
             self.accel
@@ -1523,8 +1390,8 @@ impl<'p> EngineState<'p> {
     /// order (priority, then earlier arrival, then smaller id)?
     ///
     /// A wound/wait decision is a scheduling decision: it must see
-    /// **exact** priorities, not the stale-high upper bounds a surviving
-    /// `ConflictState` cache entry may hold under lazy falls.
+    /// **exact** priorities, not the stale-high upper bounds a
+    /// `ConflictState` index key may hold under lazy falls.
     fn outranks(&self, requester: TxnId, holder: TxnId) -> bool {
         let pr = self.priority_exact(requester);
         let ph = self.priority_exact(holder);
@@ -1685,9 +1552,6 @@ impl<'p> EngineState<'p> {
             self.index.borrow_mut().remove(id);
         }
         self.slack.borrow_mut().remove(id);
-        // Departed for good: recycle the committed transaction's arena
-        // slot (its id-keyed cache entries die of unreachability).
-        self.accel.release(id);
         self.update_queue_metrics();
         self.reschedule(); // tr-finish-schedule
     }
@@ -1702,20 +1566,11 @@ impl<'p> EngineState<'p> {
             return self.reschedule_inner();
         }
         let evals0 = self.priority_evals.get();
-        let hits0 = self.priority_cache_hits.get();
         let pairs0 = self.accel.pair_checks();
-        let invalidations0 = self.accel.pair_invalidations();
         self.reschedule_inner();
         let evals = self.priority_evals.get() - evals0;
-        let cache_hits = self.priority_cache_hits.get() - hits0;
         let pair_checks = self.accel.pair_checks() - pairs0;
-        let invalidations = self.accel.pair_invalidations() - invalidations0;
-        self.emit(|| TraceEvent::SchedulerPass {
-            evals,
-            cache_hits,
-            pair_checks,
-            invalidations,
-        });
+        self.emit(|| TraceEvent::SchedulerPass { evals, pair_checks });
     }
 
     fn reschedule_inner(&mut self) {
@@ -1824,7 +1679,7 @@ impl<'p> EngineState<'p> {
         if self.mode == CacheMode::Verify {
             self.verify_checks.set(self.verify_checks.get() + 1);
             let oracle = self.fresh_best(|id| {
-                self.txn(id).is_runnable() && (!restrict || self.fresh_compatible(id))
+                self.txn(id).is_runnable() && (!restrict || self.scan_compatible(id))
             });
             assert_eq!(
                 pick, oracle,
@@ -1836,24 +1691,23 @@ impl<'p> EngineState<'p> {
 
     /// The validated argmax over whichever index serves this run.
     ///
-    /// Priority index: a key *is* the cached value, so it is its own
-    /// effective bound; validation is an exact recomputation
-    /// ([`Self::priority_exact_detached`] — the loop re-keys the entry
-    /// itself) and a stale entry re-parks under its exact priority.
+    /// Priority index: a key is its own effective bound; validation is
+    /// an exact evaluation ([`Self::priority_of`] — the loop re-keys the
+    /// entry itself) and a stale entry re-parks under its exact priority.
     ///
     /// Slack index: every `TimeAndSelf` priority advances with the clock
     /// at the same unit rate, so the effective bound is
     /// [`Self::slack_bound`] of the time-invariant key; validation is a
-    /// [`Self::priority_of`] call (exact, and cached at this instant, for
-    /// `TimeAndSelf` policies) and the entry re-parks under its unchanged
-    /// key — `K` moves only on own-state events, never inside a pick.
+    /// [`Self::priority_of`] call and the entry re-parks under its
+    /// unchanged key — `K` moves only on own-state events, never inside a
+    /// pick.
     fn index_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
         if self.heap_in_use() {
             self.validated_best(
                 &self.index,
                 |k| k,
                 |id, _| {
-                    let exact = self.priority_exact_detached(id);
+                    let exact = self.priority_of(id);
                     (exact, exact)
                 },
                 accept,
@@ -1984,82 +1838,24 @@ impl<'p> EngineState<'p> {
         best.map(|(_, _, id)| id)
     }
 
-    /// Memo-free IOwait compatibility (the `Verify` oracle's filter).
-    fn fresh_compatible(&self, id: TxnId) -> bool {
-        let candidate = self.txn(id);
-        self.active
-            .iter()
-            .filter(|&&p| p != id)
-            .map(|&p| self.txn(p))
-            .filter(|p| p.is_partially_executed())
-            .all(|p| !candidate.conflicts_with(p))
-    }
-
-    /// `Verify`: every cache entry that *survived* invalidation (would be
-    /// a hit under the policy's declared deps) must still satisfy what the
-    /// cache claims for it — bit-identity for `Static`/`TimeAndSelf`, the
-    /// upper-bound invariant for `ConflictState` (lazy falls leave
-    /// stale-high survivors by design; a survivor *below* the fresh value
-    /// means a priority rise escaped the clear walk, which would make the
-    /// heap's pop order unsound). Checked at every pick rather than at
+    /// `Verify`: every priority-index key must be what the validated
+    /// pick relies on — bit-identical to the fresh priority for `Static`
+    /// policies, `>=` it for `ConflictState` ones (lazy falls leave
+    /// stale-high keys by design; a key *below* the fresh value means a
+    /// priority rise escaped the clear walk, which would make the heap's
+    /// pop order unsound) — and every slack-index effective bound must
+    /// dominate the fresh priority. Checked at every pick rather than at
     /// the entry's next (possibly much later) use.
     fn verify_surviving_entries(&self) {
-        let deps = self.policy.depends_on();
-        if deps == PriorityDeps::Volatile {
-            return;
-        }
         let view = self.fresh_view();
-        let now = self.now();
-        for &id in &self.active {
-            let s = self.accel.slot(id);
-            let hit = s.pri_valid()
-                && match deps {
-                    PriorityDeps::Static => true,
-                    PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                    PriorityDeps::ConflictState => {
-                        s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
-                    }
-                    PriorityDeps::Volatile => unreachable!("handled above"),
-                };
-            if hit {
-                let fresh = self.policy.priority(self.txn(id), &view);
-                self.verify_checks.set(self.verify_checks.get() + 1);
-                if matches!(deps, PriorityDeps::ConflictState) {
-                    assert!(
-                        s.pri_value >= fresh,
-                        "{id}: surviving cache entry {} < fresh {} \
-                         (a priority rise escaped the clear walk)",
-                        s.pri_value.0,
-                        fresh.0
-                    );
-                } else {
-                    assert_eq!(
-                        s.pri_value.0.to_bits(),
-                        fresh.0.to_bits(),
-                        "{id}: surviving cache entry {} != fresh {} (invalidation too narrow)",
-                        s.pri_value.0,
-                        fresh.0
-                    );
-                }
-            }
-        }
-        // Index-soundness oracles. Priority-index keys must be
-        // bit-identical to their cache entries; every slack-index
-        // effective bound must dominate the fresh priority — exactly what
-        // the validated-argmax picks rely on.
         if self.heap_in_use() {
             for e in self.index.borrow().entries() {
                 self.verify_checks.set(self.verify_checks.get() + 1);
-                assert_eq!(
-                    e.pri.0.to_bits(),
-                    self.accel.slot(e.id).pri_value.0.to_bits(),
-                    "{}: index key and cached priority disagree",
-                    e.id
-                );
+                self.assert_key_sound(e.id, e.pri, &view);
             }
         }
         if self.slack_in_use() {
-            let now_ms = now.as_ms();
+            let now_ms = self.now().as_ms();
             for e in self.slack.borrow().entries() {
                 let t = self.txn(e.id);
                 let k = self
@@ -2086,8 +1882,31 @@ impl<'p> EngineState<'p> {
         }
     }
 
-    /// Highest-priority transaction among `ids` (priorities via the
-    /// cache-mode-aware [`Self::priority_of`]); ties broken by earlier
+    /// The priority-index soundness check shared by `Verify` and
+    /// [`Self::validate_state`]: `key` is exact for `Static` policies and
+    /// an upper bound for `ConflictState` ones.
+    fn assert_key_sound(&self, id: TxnId, key: Priority, view: &SystemView<'_>) {
+        let fresh = self.policy.priority(self.txn(id), view);
+        if self.policy.depends_on() == PriorityDeps::Static {
+            assert_eq!(
+                key.0.to_bits(),
+                fresh.0.to_bits(),
+                "{id}: Static index key {} != fresh {}",
+                key.0,
+                fresh.0
+            );
+        } else {
+            assert!(
+                key >= fresh,
+                "{id}: index key {} < fresh {} (a priority rise escaped the clear walk)",
+                key.0,
+                fresh.0
+            );
+        }
+    }
+
+    /// Highest-priority transaction among `ids` (priorities via
+    /// [`Self::priority_of`]); ties broken by earlier
     /// arrival, then smaller id (deterministic).
     fn best_by_priority(&self, ids: impl Iterator<Item = TxnId>) -> Option<TxnId> {
         let mut best: Option<(Priority, SimTime, TxnId)> = None;
@@ -2137,7 +1956,8 @@ impl<'p> EngineState<'p> {
         }
     }
 
-    /// [`Self::compatible_with_plist`] by a scan of `active`.
+    /// [`Self::compatible_with_plist`] by a scan of `active`: the
+    /// `AlwaysRecompute` filter and the `Verify` oracle's.
     fn scan_compatible(&self, id: TxnId) -> bool {
         let candidate = self.txn(id);
         self.active
@@ -2169,13 +1989,13 @@ impl<'p> EngineState<'p> {
             let consumed = now.since(t.burst_start);
             t.cpu_left = t.cpu_left.saturating_sub(consumed);
             if t.stage == Stage::Compute {
-                // No own-version bump: at this fixed instant the
+                // No re-key: at this fixed instant the
                 // transaction's *effective* service is unchanged — the
                 // in-flight part of the burst was already accruing
                 // continuously (see `Transaction::effective_service`), it
                 // merely moves from implicit to banked. Priorities that
                 // read effective service (CCA's penalty term) see the
-                // same value, so cached entries stay bit-valid.
+                // same value, so index keys stay valid.
                 t.service += consumed;
             }
             self.set_state(r, TxnState::Ready);
@@ -2352,17 +2172,14 @@ impl<'p> EngineState<'p> {
             assert_eq!(self.state_tags[i], t.state, "state tag diverged at txn {i}");
         }
         // The priority index holds exactly one entry per active
-        // transaction, keyed bit-identically to its cached value.
+        // transaction, keyed soundly (exact or upper bound).
         if self.heap_in_use() {
             let index = self.index.borrow();
+            let view = self.fresh_view();
             assert_eq!(index.len(), self.active.len(), "index size diverged");
             for &id in &self.active {
                 let key = index.key_of(id).expect("active but not indexed");
-                assert_eq!(
-                    key.0.to_bits(),
-                    self.accel.slot(id).pri_value.0.to_bits(),
-                    "{id}: index key and cached priority disagree"
-                );
+                self.assert_key_sound(id, key, &view);
             }
         }
         // The slack index, when it is the pick path, covers the active
@@ -2575,8 +2392,8 @@ fn drive(
         // Popping an event advances the simulation clock. A partially
         // executed Compute-stage runner accrues effective service, which
         // can only *lower* ConflictState priorities computed against it —
-        // stale-high cache entries and heap keys the pick path's
-        // pop-and-revalidate already tolerates, so no invalidation here.
+        // stale-high heap keys the pick path's pop-and-revalidate
+        // already tolerates, so no repair here.
         match fired.payload {
             Event::Arrival(txn) => {
                 if let Some(next) = source.next_transaction() {
@@ -2610,13 +2427,12 @@ impl EngineState<'_> {
         self.metrics.set_sched_stats(SchedStats {
             pick_next_calls: self.pick_next_calls.get(),
             priority_evals: self.priority_evals.get(),
-            priority_cache_hits: self.priority_cache_hits.get(),
+            priority_cache_hits: 0,
             pair_checks: self.accel.pair_checks(),
             pair_cache_hits: 0,
             heap_pushes: self.heap_pushes.get(),
             heap_stale_pops: self.heap_stale_pops.get(),
             heap_validated_picks: self.heap_validated_picks.get(),
-            pair_invalidations: self.accel.pair_invalidations(),
             pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
@@ -2904,11 +2720,7 @@ pub fn run_simulation_traced(cfg: &SimConfig, policy: &dyn Policy) -> (RunSummar
 ///
 /// Bench/test support only. The harness never dispatches the picked
 /// transaction, so repeated [`PickHarness::pick`] calls measure the
-/// steady-state (warm-cache) cost; call
-/// [`PickHarness::invalidate_conflict_caches`] between picks to measure
-/// the cold path for `ConflictState` policies (for `Static` policies a
-/// valid entry is definitionally never stale, so there is no cold case
-/// to measure).
+/// steady-state cost (index keys already tightened by earlier picks).
 pub struct PickHarness<'p> {
     st: EngineState<'p>,
 }
@@ -2951,7 +2763,7 @@ impl<'p> PickHarness<'p> {
                 st.accel.note_access_growth(id, false);
             }
         }
-        // Seed every cache entry and index key, as arrivals do in a run.
+        // Seed every index key, as arrivals do in a run.
         if st.heap_in_use() {
             for i in 0..st.active.len() {
                 st.priority_exact(st.active[i]);
@@ -2971,32 +2783,18 @@ impl<'p> PickHarness<'p> {
         self.st.pick_next()
     }
 
-    /// Invalidate every cached `ConflictState` priority by bumping each
-    /// transaction's pair stamp — the cold-cache case. Index keys keep
-    /// their (still-correct) values, so the next pick pays exact
-    /// revalidation of the entries it actually inspects rather than a
-    /// full-system recompute: that asymmetry against the scan oracle is
-    /// precisely what the cold benchmark now measures.
-    pub fn invalidate_conflict_caches(&mut self) {
-        for i in 0..self.st.active.len() {
-            let id = self.st.active[i];
-            self.st.accel.bump_pair_stamp(id);
-        }
-    }
-
     /// The scheduler counters accumulated by this harness's picks
     /// (wall time stays 0: harness runs are never profiled).
     pub fn stats(&self) -> SchedStats {
         SchedStats {
             pick_next_calls: self.st.pick_next_calls.get(),
             priority_evals: self.st.priority_evals.get(),
-            priority_cache_hits: self.st.priority_cache_hits.get(),
+            priority_cache_hits: 0,
             pair_checks: self.st.accel.pair_checks(),
             pair_cache_hits: 0,
             heap_pushes: self.st.heap_pushes.get(),
             heap_stale_pops: self.st.heap_stale_pops.get(),
             heap_validated_picks: self.st.heap_validated_picks.get(),
-            pair_invalidations: self.st.accel.pair_invalidations(),
             pair_cache_evictions: 0,
             clear_repair_clears: self.st.clear_repair_clears.get(),
             clear_repair_visits: self.st.clear_repair_visits.get(),

@@ -14,7 +14,7 @@ use rtx_sim::stats::{Accumulator, TimeWeighted};
 use rtx_sim::time::{SimDuration, SimTime};
 
 /// Scheduler-overhead counters: how much work the continuous-evaluation
-/// dispatcher did, and how much of it the incremental caches absorbed.
+/// dispatcher did, and how much of it the incremental indexes avoided.
 ///
 /// All counters are deterministic functions of the event sequence —
 /// except `sched_wall_ns`, which is only measured in profiled runs
@@ -24,11 +24,13 @@ use rtx_sim::time::{SimDuration, SimTime};
 pub struct SchedStats {
     /// Scheduling points: calls to the engine's `pick_next`.
     pub pick_next_calls: u64,
-    /// Actual `Policy::priority` evaluations performed.
+    /// `Policy::priority` evaluations performed (every exact priority the
+    /// engine uses is a fresh evaluation; the index keys are the only
+    /// stored priorities).
     pub priority_evals: u64,
-    /// Priority evaluations answered from the stamp-gated cache,
-    /// including pick-loop recomputations that confirmed the cached
-    /// value bit-for-bit.
+    /// Always 0: there is no priority cache; every lookup is an
+    /// evaluation counted in `priority_evals`. Kept so benchmark readers
+    /// keep their columns.
     pub priority_cache_hits: u64,
     /// Pairwise conflict tests requested (static `conflicts_with` plus
     /// dynamic `is_unsafe_with`, e.g. from `penalty_of_conflict`).
@@ -37,8 +39,8 @@ pub struct SchedStats {
     /// memoized. Kept so benchmark readers keep their columns.
     pub pair_cache_hits: u64,
     /// Priority-index key writes: inserts plus in-place repositions
-    /// (clear repairs and eval-driven cache writes) while the
-    /// heap-indexed pick path is active.
+    /// (clear repairs, exact re-keys and pick-loop re-parks) while an
+    /// indexed pick path is active.
     pub heap_pushes: u64,
     /// Stale-high index tops demoted in place by the pick loop's
     /// validation (the cost of tolerating priority falls lazily).
@@ -46,15 +48,11 @@ pub struct SchedStats {
     /// Picks answered by the index (top confirmed by an exact
     /// recomputation) instead of a full scan.
     pub heap_validated_picks: u64,
-    /// Per-transaction conflict-stamp bumps: how many cached
-    /// ConflictState priorities targeted invalidation actually flushed
-    /// (the global epoch flushed *all* of them on every change).
-    pub pair_invalidations: u64,
     /// Always 0: there is no pair-verdict cache to evict from. Kept so
     /// benchmark readers keep their columns.
     pub pair_cache_evictions: u64,
     /// Conflict-clear repair walks performed (one per clear of a
-    /// partially executed transaction under targeted invalidation).
+    /// partially executed transaction under a `ConflictState` policy).
     pub clear_repair_clears: u64,
     /// Candidates visited by those walks. With the item→transaction
     /// reverse index this scales with the cleared transaction's sharer
@@ -64,7 +62,7 @@ pub struct SchedStats {
     /// migrates between indexes. Kept so readers of the counter set
     /// (benchmark reports) keep their columns.
     pub index_migrations: u64,
-    /// Verify-mode divergence checks performed (cache-vs-fresh
+    /// Verify-mode divergence checks performed (maintained-vs-fresh
     /// assertions that ran and passed; 0 outside `CacheMode::Verify`).
     pub verify_checks: u64,
     /// Wall-clock nanoseconds spent inside `pick_next` (profiled runs
@@ -462,8 +460,8 @@ pub struct RunSummary {
     pub cpu_backoff_ms: f64,
     /// CPU time wasted by stalled bursts (ran fully, no progress), ms.
     pub wasted_cpu_ms: f64,
-    /// Scheduler-overhead counters (priority evaluations, cache hits,
-    /// pair checks, profiled `pick_next` wall time).
+    /// Scheduler-overhead counters (priority evaluations, pair checks,
+    /// index work, profiled `pick_next` wall time).
     pub sched: SchedStats,
 }
 
@@ -471,7 +469,7 @@ impl RunSummary {
     /// This summary with the scheduler-overhead counters zeroed.
     ///
     /// The *simulated* outcome of a run is independent of how the engine
-    /// evaluated priorities — cached or from scratch — but the overhead
+    /// evaluated priorities — indexed or by full scan — but the overhead
     /// counters of course differ across cache modes and across policies.
     /// Equality tests that compare outcomes across such axes (e.g. "CCA
     /// with weight 0 behaves exactly like EDF-HP", or "the incremental

@@ -39,16 +39,20 @@ impl Ord for Priority {
     }
 }
 
-/// Which inputs a policy's [`Policy::priority`] is a function of — the
-/// engine's priority-cache invalidation hint.
+/// Which inputs a policy's [`Policy::priority`] is a function of — what
+/// selects the engine's pick path: the priority index for `Static` and
+/// `ConflictState`, the slack index for `TimeAndSelf` (when the policy
+/// exposes [`Policy::time_invariant_key`]), the full scan for
+/// `Volatile`.
 ///
 /// Declaring a *wider* dependency than the policy actually has is always
-/// safe (it only costs recomputations); declaring a narrower one breaks
-/// bit-identity and is caught by the engine's `Verify` cache mode.
+/// safe (it only costs a slower pick path); declaring a narrower one
+/// breaks bit-identity and is caught by the engine's `Verify` cache
+/// mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityDeps {
     /// Depends only on the transaction's immutable attributes (deadline,
-    /// arrival, criticality). EDF-HP, FCFS: computed once, never again.
+    /// arrival, criticality). EDF-HP, FCFS: the index key is exact.
     Static,
     /// Depends on the current time and the transaction's own mutable
     /// state (progress, service), but not on other transactions. LSF.
@@ -65,16 +69,16 @@ pub enum PriorityDeps {
     /// part 3 (own state): of `T`'s own mutable state, only a narrowing
     /// of `T`'s `might_access` may *raise* `T`'s priority; its own
     /// service and progress must not enter its own priority at all. The
-    /// engine leans on all three: a partial's clear repairs the affected
-    /// cached values in place by the policy's
-    /// [`Policy::conflict_clear_raise`] bound, a narrowing eagerly
-    /// refreshes `T`'s own entry, and every other event leaves cached
-    /// values and index keys as stale-high upper bounds that the lazy
-    /// pick path revalidates at the top. A policy whose priority can
+    /// engine leans on all three to keep its index keys upper bounds: a
+    /// partial's clear repairs the affected keys in place by the
+    /// policy's [`Policy::conflict_clear_raise`] bound, a narrowing
+    /// eagerly re-keys `T`'s own entry, and every other event leaves
+    /// keys stale-high, which the lazy pick path revalidates at the top.
+    /// A policy whose priority can
     /// *rise* on growth or with time must declare
     /// [`PriorityDeps::Volatile`] instead.
     ConflictState,
-    /// No cacheable structure declared; recompute at every use. The
+    /// No indexable structure declared; every pick scans. The
     /// conservative default for policies written before this hint
     /// existed.
     Volatile,
@@ -133,8 +137,8 @@ impl<'a> SystemView<'a> {
     ///
     /// Yields in ascending id order either way: the maintained P-list is
     /// kept id-sorted, and a scan of `txns` (slots are in id = arrival
-    /// order) visits the same transactions in the same order, so cached
-    /// and fresh evaluations are bit-identical.
+    /// order) visits the same transactions in the same order, so
+    /// accel-backed and fresh evaluations are bit-identical.
     pub fn partially_executed(&self, of: TxnId) -> PartiallyExecuted<'a> {
         let inner = match self.accel {
             Some(a) => PlistIter::Ids {
@@ -246,10 +250,10 @@ pub trait Policy: Sync {
         false
     }
 
-    /// What [`Policy::priority`] depends on — the engine's cache
-    /// invalidation hint. The default, [`PriorityDeps::Volatile`],
-    /// disables caching for this policy and is always correct; policies
-    /// should override it with the narrowest honest answer.
+    /// What [`Policy::priority`] depends on — the engine's pick-path
+    /// selector. The default, [`PriorityDeps::Volatile`], keeps the full
+    /// scan for this policy and is always correct; policies should
+    /// override it with the narrowest honest answer.
     fn depends_on(&self) -> PriorityDeps {
         PriorityDeps::Volatile
     }

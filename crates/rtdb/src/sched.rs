@@ -12,18 +12,9 @@
 //!   walk to the transactions that share an item with it; each pair it
 //!   yields is tested directly (`conflicts_with`, `is_unsafe_with`) —
 //!   with the paper's small databases every set is one machine word, so
-//!   the test is a couple of ANDs and is never memoized;
-//! * a **per-transaction pair stamp** records, for every transaction,
-//!   the last time the set of partially executed transactions unsafe with
-//!   respect to *it* changed. A conflict event at transaction `C`
-//!   (lock-grant growth, abort/commit set clearing, decision narrowing)
-//!   bumps only the stamps of the transactions whose relation to `C`
-//!   actually moved, so the engine's priority cache invalidates exactly
-//!   those [`crate::policy::PriorityDeps::ConflictState`] entries instead
-//!   of epoch-flushing every one of them.
+//!   the test is a couple of ANDs and is never memoized.
 //!
-//! Correctness contract: every maintained structure (P-list, reverse
-//! index, pair stamps and the priorities they gate) yields answers
+//! Correctness contract: both maintained structures yield answers
 //! **bit-identical** to a fresh recomputation. The engine's
 //! [`CacheMode::Verify`] mode asserts this at every single use, and
 //! `tests/incremental_equivalence.rs` drives it over randomized
@@ -32,25 +23,22 @@
 use std::cell::Cell;
 
 use rtx_preanalysis::sets::DataSet;
-use rtx_sim::time::SimTime;
 
-use crate::arena::{SchedArena, SlotState, TxnSlot};
-use crate::policy::Priority;
 use crate::txn::{is_unsafe_with, Transaction, TxnId};
 
 /// How the engine evaluates priorities and conflict relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Use the maintained P-list, the reverse index and the
-    /// stamp-invalidated priority cache (the default; production path).
+    /// Use the maintained P-list, the reverse index and the priority
+    /// indexes (the default; production path).
     #[default]
     Incremental,
     /// Recompute everything from scratch at every scheduling point — the
     /// pre-incremental reference engine. Used as the oracle in
     /// equivalence tests and as the "cold" side of benchmarks.
     AlwaysRecompute,
-    /// Run incrementally but recompute fresh alongside every cache read
-    /// and assert bit-identity. Slow; tests only.
+    /// Run incrementally but recompute fresh alongside every maintained
+    /// answer and index key, and assert agreement. Slow; tests only.
     Verify,
 }
 
@@ -58,22 +46,13 @@ pub enum CacheMode {
 ///
 /// Owned by the engine; policies reach it read-only through
 /// [`crate::policy::SystemView`]. All mutation goes through the engine's
-/// state-transition bookkeeping, which is what makes the version/epoch
-/// stamps trustworthy.
+/// state-transition bookkeeping, which is what keeps the P-list and the
+/// reverse index in step with the transactions.
 pub struct ConflictAccel {
     /// Partially executed transactions, sorted by id (ascending). Because
     /// the engine's `active` list is always in arrival = id order, this
     /// reproduces the exact iteration order of the full-scan P-list.
     plist: Vec<TxnId>,
-    /// Dense per-transaction hot state: `own_version`, the
-    /// per-transaction conflict stamp (`pair_stamp` — bumped by the
-    /// engine's targeted walks via [`Self::bump_pair_stamp`] for exactly
-    /// the transactions whose unsafe-partial set changed), and the
-    /// engine's cached priority with its validity stamps — one 64-byte
-    /// [`SlotState`] line per transaction.
-    arena: SchedArena,
-    /// Total pair-stamp bumps (targeted invalidations) performed.
-    pair_invalidations: Cell<u64>,
     /// Pair tests performed (`conflicts` plus `is_unsafe` calls).
     pair_checks: Cell<u64>,
     /// Item → admitted transactions whose `might_access` contains the
@@ -87,58 +66,23 @@ pub struct ConflictAccel {
     /// `item_txns`, diffed on reindex so membership updates touch only
     /// the items that changed.
     indexed_items: Vec<DataSet>,
-    /// Transaction id → arena slot. Ids are dense and never reused, so
-    /// this is a push-only vector; slots of departed transactions are
-    /// recycled through the arena's free list and marked
-    /// [`TxnSlot::RELEASED`] here.
-    slot_map: Vec<TxnSlot>,
 }
 
 impl ConflictAccel {
     pub(crate) fn new(capacity: usize, db_size: usize) -> Self {
         ConflictAccel {
             plist: Vec::new(),
-            arena: SchedArena::with_capacity(capacity),
-            pair_invalidations: Cell::new(0),
             pair_checks: Cell::new(0),
             item_txns: vec![Vec::new(); db_size],
             indexed_items: Vec::with_capacity(capacity),
-            slot_map: Vec::with_capacity(capacity),
         }
     }
 
     /// Register a newly arrived transaction (ids are dense and arrive in
-    /// order, so the slot-map entry is a push; the arena slot itself may
-    /// be a recycled one).
+    /// order, so its reverse-index snapshot is a push).
     pub(crate) fn register(&mut self, id: TxnId) {
-        debug_assert_eq!(id.0 as usize, self.slot_map.len());
-        let slot = self.arena.register();
-        self.slot_map.push(slot);
+        debug_assert_eq!(id.0 as usize, self.indexed_items.len());
         self.indexed_items.push(DataSet::new());
-    }
-
-    /// `id` departed for good (commit or admission rejection): return its
-    /// arena slot to the free list.
-    pub(crate) fn release(&mut self, id: TxnId) {
-        let slot = std::mem::replace(&mut self.slot_map[id.0 as usize], TxnSlot::RELEASED);
-        debug_assert_ne!(slot, TxnSlot::RELEASED, "double release of {id}");
-        self.arena.release(slot);
-    }
-
-    /// Arena occupancy: (live slots, high-water mark). The mark tracks
-    /// the peak concurrent population, not the run's transaction count.
-    #[cfg(test)]
-    pub(crate) fn arena_occupancy(&self) -> (usize, usize) {
-        (self.arena.live(), self.arena.len())
-    }
-
-    /// `id`'s arena slot; panics in debug builds if the slot was
-    /// released (no scheduler path may touch a departed transaction).
-    #[inline]
-    fn slot_idx(&self, id: TxnId) -> TxnSlot {
-        let slot = self.slot_map[id.0 as usize];
-        debug_assert_ne!(slot, TxnSlot::RELEASED, "{id}: slot used after release");
-        slot
     }
 
     /// (Re)register `id` in the item→transaction reverse index under
@@ -203,57 +147,16 @@ impl ConflictAccel {
         out.dedup();
     }
 
-    /// One cache-line copy of `id`'s hot scheduler state (own version,
-    /// conflict stamp, cached priority).
-    #[inline]
-    pub(crate) fn slot(&self, id: TxnId) -> SlotState {
-        self.arena.get(self.slot_idx(id))
-    }
-
-    /// Cache `value` as `id`'s priority, stamped with the slot's
-    /// *current* versions (callers evaluate the policy and write in the
-    /// same event, with no version bump in between).
-    #[inline]
-    pub(crate) fn write_pri(&self, id: TxnId, value: Priority, at: SimTime) {
-        self.arena.update(self.slot_idx(id), |s| {
-            s.pri_value = value;
-            s.pri_at = at;
-            s.pri_stamp = s.pair_stamp;
-            s.pri_own = s.own_version;
-        });
-    }
-
-    /// The conflict stamp of `id` — the per-transaction replacement for
-    /// the old global conflict epoch. Part of the priority-cache key for
-    /// `ConflictState` policies.
-    #[cfg(test)]
-    pub(crate) fn pair_stamp(&self, id: TxnId) -> u64 {
-        self.arena.get(self.slot_idx(id)).pair_stamp
-    }
-
-    /// The unsafe-partial set of `id` changed: invalidate its cached
-    /// `ConflictState` priority (and only its).
-    pub(crate) fn bump_pair_stamp(&mut self, id: TxnId) {
-        self.arena.update(self.slot_idx(id), |s| s.pair_stamp += 1);
-        self.pair_invalidations
-            .set(self.pair_invalidations.get() + 1);
-    }
-
-    pub(crate) fn bump_own(&mut self, id: TxnId) {
-        self.arena.update(self.slot_idx(id), |s| s.own_version += 1);
-    }
-
     /// A lock grant grew `id`'s `accessed`/`written` sets. Joins the
     /// P-list on the first grant since (re)start.
     ///
     /// The growth may flip `is_unsafe(id, X)` for other transactions `X`,
     /// but that can only *lower* their `ConflictState` priorities (the
-    /// penalty gains nonnegative terms), so no stamps are bumped for
-    /// them: the engine's lazy heap tolerates stale-high cached values
-    /// and revalidates on pop. Only clears — which *raise* priorities —
-    /// get an eager walk (see [`Self::note_sets_cleared`]).
+    /// penalty gains nonnegative terms), so nothing is walked: the
+    /// engine's lazy heap tolerates stale-high keys and revalidates on
+    /// pop. Only clears — which *raise* priorities — get an eager walk
+    /// (see [`Self::note_sets_cleared`]).
     pub(crate) fn note_access_growth(&mut self, id: TxnId, was_partial: bool) {
-        self.bump_own(id);
         if !was_partial {
             let pos = self.plist.binary_search(&id).unwrap_err();
             self.plist.insert(pos, id);
@@ -264,27 +167,14 @@ impl ConflictAccel {
     /// restart with a decision point — `might_access` was re-widened. The
     /// transaction leaves the P-list.
     ///
-    /// The engine performs the targeted pair-stamp walk *before* this
-    /// call, while `id`'s sets still describe the contribution being
-    /// removed.
+    /// The engine performs its clear-repair walk *before* this call,
+    /// while `id`'s sets still describe the contribution being removed.
     pub(crate) fn note_sets_cleared(&mut self, id: TxnId) {
-        self.bump_own(id);
         let pos = self
             .plist
             .binary_search(&id)
             .expect("cleared transaction held locks, so it was on the P-list");
         self.plist.remove(pos);
-    }
-
-    /// `id` executed its decision point, narrowing `might_access`.
-    ///
-    /// A narrowing changes only how *other* partials relate to `id` as a
-    /// candidate (`is_unsafe` reads the partial's `accessed`/`written`
-    /// against the candidate's `might_access`), so the only
-    /// `ConflictState` priority it can move is `id`'s own: one stamp
-    /// bump, no walk.
-    pub(crate) fn note_narrowed(&mut self, id: TxnId) {
-        self.bump_pair_stamp(id);
     }
 
     /// The maintained P-list, ascending by id.
@@ -313,10 +203,6 @@ impl ConflictAccel {
 
     pub(crate) fn pair_checks(&self) -> u64 {
         self.pair_checks.get()
-    }
-
-    pub(crate) fn pair_invalidations(&self) -> u64 {
-        self.pair_invalidations.get()
     }
 }
 
@@ -414,69 +300,12 @@ mod tests {
         let y = mk(1, &[2, 3]);
         assert!(a.conflicts(&x, &y));
         assert_eq!(a.conflicts(&x, &y), a.conflicts(&y, &x));
-        // Narrow x away from the overlap; the verdict flips both ways.
+        // Narrow x away from the overlap; the very next test sees the
+        // narrowed set, and the verdict flips both ways.
         x.might_access = DataSet::from_items([ItemId(1)]);
-        a.note_narrowed(TxnId(0));
         assert!(!a.conflicts(&x, &y));
         assert_eq!(a.conflicts(&x, &y), a.conflicts(&y, &x));
         assert_eq!(a.pair_checks(), 6);
-    }
-
-    #[test]
-    fn pair_stamps_are_per_transaction() {
-        let mut a = ConflictAccel::new(3, 64);
-        for i in 0..3 {
-            a.register(TxnId(i));
-        }
-        let s1 = a.pair_stamp(TxnId(1));
-        let s2 = a.pair_stamp(TxnId(2));
-        // Narrowing invalidates only the narrowed transaction itself.
-        a.note_narrowed(TxnId(1));
-        assert!(a.pair_stamp(TxnId(1)) > s1);
-        assert_eq!(a.pair_stamp(TxnId(2)), s2);
-        // Targeted bumps touch exactly the named transaction and tally.
-        let inv = a.pair_invalidations();
-        a.bump_pair_stamp(TxnId(2));
-        assert!(a.pair_stamp(TxnId(2)) > s2);
-        assert_eq!(a.pair_stamp(TxnId(0)), 0);
-        assert_eq!(a.pair_invalidations(), inv + 1);
-        // Growth and clearing bump only `own_version` and leave the
-        // cross-transaction stamping to the engine's walk.
-        a.note_access_growth(TxnId(0), false);
-        a.note_sets_cleared(TxnId(0));
-        assert_eq!(a.pair_stamp(TxnId(0)), 0);
-    }
-
-    #[test]
-    fn released_slots_recycle_through_the_accel() {
-        let mut a = ConflictAccel::new(4, 64);
-        // A departing wave of transactions keeps the arena at the peak
-        // *concurrent* population, not the total registered count.
-        for i in 0..100u32 {
-            a.register(TxnId(i));
-            a.note_access_growth(TxnId(i), false);
-            let (live, high) = a.arena_occupancy();
-            assert_eq!(live, 2.min(i as usize + 1));
-            assert!(high <= 2, "arena grew past the concurrent peak: {high}");
-            if i > 0 {
-                a.note_sets_cleared(TxnId(i - 1));
-                a.release(TxnId(i - 1));
-            }
-        }
-        // Recycled slots read as fresh for their new owner.
-        assert_eq!(a.pair_stamp(TxnId(99)), 0);
-        a.bump_pair_stamp(TxnId(99));
-        assert_eq!(a.pair_stamp(TxnId(99)), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "slot used after release")]
-    fn released_slot_access_is_caught_in_debug() {
-        let mut a = ConflictAccel::new(2, 64);
-        a.register(TxnId(0));
-        a.release(TxnId(0));
-        a.bump_pair_stamp(TxnId(0));
     }
 
     #[test]

@@ -260,8 +260,8 @@ impl Transaction {
 
     /// Called by the engine when an update completes: execute the decision
     /// point, narrowing `might_access`, if this was the decision update.
-    /// Returns `true` iff a narrowing happened (the caller must invalidate
-    /// conflict-state caches keyed on `might_access`).
+    /// Returns `true` iff a narrowing happened (the caller must re-index
+    /// and re-key state derived from `might_access`).
     pub fn maybe_execute_decision(&mut self) -> bool {
         if let Some(d) = &self.decision {
             if self.progress == d.after_update {
