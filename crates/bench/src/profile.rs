@@ -183,6 +183,7 @@ fn run_cell(
         cell.sched.pair_cache_evictions += s.sched.pair_cache_evictions;
         cell.sched.clear_repair_clears += s.sched.clear_repair_clears;
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
+        cell.sched.sharer_entries += s.sched.sharer_entries;
         cell.sched.verify_checks += s.sched.verify_checks;
         cell.sched.sched_wall_ns += s.sched.sched_wall_ns;
         cell.committed += s.committed;
@@ -204,6 +205,7 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"pair_cache_evictions\": {},\n\
          {indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n\
+         {indent}  \"sharer_entries\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
         cell.sched.sched_wall_ns,
         cell.pick_ns(),
@@ -218,6 +220,7 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.pair_cache_evictions,
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,
+        cell.sched.sharer_entries,
         cell.committed,
     )
 }
@@ -296,7 +299,8 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
              \"mpl\": {},\n      \"cached_pick_ns\": {:.1},\n      \
              \"oracle_pick_ns\": {:.1},\n      \"sched_speedup\": {:.2},\n      \
              \"heap_stale_pops\": {},\n      \"pair_checks\": {},\n      \
-             \"clear_repair_clears\": {},\n      \"clear_repair_visits\": {}\n    }}",
+             \"clear_repair_clears\": {},\n      \"clear_repair_visits\": {},\n      \
+             \"sharer_entries\": {}\n    }}",
             sc.name,
             policy.name(),
             sc.cfg.run.num_transactions,
@@ -307,6 +311,7 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached.sched.pair_checks,
             cached.sched.clear_repair_clears,
             cached.sched.clear_repair_visits,
+            cached.sched.sharer_entries,
         ));
         rows.push(ScenarioSummary {
             name: sc.name.to_string(),

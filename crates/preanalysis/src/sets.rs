@@ -61,6 +61,13 @@ impl DataSet {
         self.len
     }
 
+    /// Length of the word vector: the number of words a binary operation
+    /// against this set may read (trailing zero words included).
+    #[inline]
+    pub fn word_len(&self) -> usize {
+        self.words.len()
+    }
+
     /// True iff the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -25,6 +25,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 
+use rtx_preanalysis::sets::DataSet;
 use rtx_sim::calendar::{Calendar, EventHandle};
 use rtx_sim::fault::{CpuFaultInjector, FaultInjector};
 use rtx_sim::rng::StreamSeeder;
@@ -112,13 +113,13 @@ impl PartialOrd for HeapEntry {
 /// The lazy max-heap priority index: a position-tracked binary heap with
 /// exactly one entry per indexed transaction.
 ///
-/// Position tracking (`pos`) is what makes a clear repair O(log n) *in
-/// place*: a clear repairs each affected transaction's key with
-/// [`PriorityIndex::set_key`] (a sift, no duplicate entry, no
-/// rebuild), and a lazy-fall demotion during pick validation is the same
-/// operation downwards. The old duplicate-entry design paid an eval +
-/// push + eventual stale pop per repaired transaction; this pays a few
-/// swaps.
+/// Position tracking (`pos`) is what lets keys move *in place*: a clear
+/// raises every affected transaction's key in one batch with
+/// [`PriorityIndex::raise_all`] (sift-ups, or one heapify when most of
+/// the heap moved — never a duplicate entry), and an exact re-key is a
+/// [`PriorityIndex::set_key`] sift either way. The heap order is total
+/// (the key tuple ends in the id), so the sequence of maxima — and with
+/// it every pick — does not depend on the slot layout.
 #[derive(Default)]
 struct PriorityIndex {
     /// The heap slots (max-heap by [`HeapEntry::cmp`]).
@@ -238,6 +239,35 @@ impl PriorityIndex {
         }
         self.slots[i] = e;
         self.pos[e.id.0 as usize] = i as u32 + 1;
+    }
+
+    /// Raise the key of every indexed `id` in `ids` to `f(old key)`,
+    /// which must not be lower. Few victims sift up one by one (a raise
+    /// never moves a key down); when `victims · log2(n) > n` the keys
+    /// are written in place and one bottom-up heapify restores the order
+    /// in O(n) instead.
+    ///
+    /// # Panics
+    /// Panics if an id is not indexed.
+    fn raise_all(&mut self, ids: &[TxnId], f: impl Fn(Priority) -> Priority) {
+        let n = self.slots.len();
+        let heapify = ids.len() * n.max(2).ilog2() as usize > n;
+        for &id in ids {
+            let p = self.pos.get(id.0 as usize).copied().unwrap_or(0);
+            assert!(p != 0, "{id}: raised but not indexed");
+            let i = (p - 1) as usize;
+            let raised = f(self.slots[i].pri);
+            debug_assert!(raised >= self.slots[i].pri, "{id}: raise lowered its key");
+            self.slots[i].pri = raised;
+            if !heapify {
+                self.sift_up(i);
+            }
+        }
+        if heapify {
+            for i in (0..n / 2).rev() {
+                self.sift_down(i);
+            }
+        }
     }
 
     /// Insert `e`, or reposition `e.id` under `e.pri` if already indexed.
@@ -632,9 +662,8 @@ impl<'p> EngineState<'p> {
     /// slack) to the victim's key, itself an upper bound, yields a new
     /// upper bound on the post-clear priority; the pick path's
     /// revalidation tightens it exactly when (and only when) the
-    /// victim surfaces at the top. The old design recomputed and
-    /// re-pushed every victim here — O(victims) full evaluations per
-    /// clear, which dominated high-contention runs.
+    /// victim surfaces at the top. Every victim gains the same bound, so
+    /// the keys move in one batch ([`PriorityIndex::raise_all`]).
     ///
     /// O(sharers) pair tests, paid only on clears (the rare,
     /// priority-raising event): instead of probing every active
@@ -653,7 +682,7 @@ impl<'p> EngineState<'p> {
         {
             let ct = self.txn(c);
             let mut sharers = self.sharer_buf.borrow_mut();
-            self.accel.sharers(&ct.accessed, &mut sharers);
+            self.sharers(&ct.accessed, &mut sharers);
             self.clear_repair_clears
                 .set(self.clear_repair_clears.get() + 1);
             self.clear_repair_visits
@@ -681,17 +710,33 @@ impl<'p> EngineState<'p> {
             }
         }
         debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
-        for &x in &affected {
-            let key = self
-                .index
-                .borrow()
-                .key_of(x)
-                .expect("active ConflictState transaction without an index key");
-            let bound = Priority(nudge_up(key.0 + raise, key.0.abs().max(raise)));
-            self.index_upsert(x, bound);
-        }
+        self.index.borrow_mut().raise_all(&affected, |key| {
+            Priority(nudge_up(key.0 + raise, key.0.abs().max(raise)))
+        });
+        self.heap_pushes
+            .set(self.heap_pushes.get() + affected.len() as u64);
         affected.clear();
         self.walk_buf = affected;
+    }
+
+    /// [`ConflictAccel::sharers`] of `items` over the active set. In
+    /// `Verify` mode both enumeration routes run and must agree with the
+    /// chosen one, and `active` — whose order the scan route emits — must
+    /// be strictly ascending by id.
+    fn sharers(&self, items: &DataSet, out: &mut Vec<TxnId>) {
+        self.accel.sharers(items, &self.active, out);
+        if self.mode == CacheMode::Verify {
+            assert!(
+                self.active.windows(2).all(|w| w[0] < w[1]),
+                "active list is not strictly ascending by id"
+            );
+            let (mut scan, mut walk) = (Vec::new(), Vec::new());
+            self.accel.sharers_by_scan(items, &self.active, &mut scan);
+            self.accel.sharers_by_walk(items, &mut walk);
+            assert_eq!(scan, walk, "sharer enumeration routes diverged");
+            assert_eq!(*out, scan, "chosen sharer enumeration diverged");
+            self.verify_checks.set(self.verify_checks.get() + 1);
+        }
     }
 
     /// The view handed to policies: accel-backed unless the engine is the
@@ -873,13 +918,12 @@ impl<'p> EngineState<'p> {
                 .count(),
             _ => {
                 // The maintained P-list *is* the set the scan above
-                // filters `active` down to, and the pair memo returns the
-                // same verdicts as `conflicts_with`. Only sharers of the
+                // filters `active` down to. Only sharers of the
                 // newcomer's footprint can conflict at all, so the probe
                 // set is their intersection with the P-list — same
                 // count, O(sharers ∩ P) instead of O(P) pair tests.
                 let mut sharers = self.sharer_buf.borrow_mut();
-                self.accel.sharers(&txn.might_access, &mut sharers);
+                self.sharers(&txn.might_access, &mut sharers);
                 let n = sharers
                     .iter()
                     .filter(|&&p| {
@@ -2436,6 +2480,7 @@ impl EngineState<'_> {
             pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
+            sharer_entries: self.accel.sharer_entries(),
             index_migrations: 0,
             verify_checks: self.verify_checks.get(),
             sched_wall_ns: self.sched_wall_ns.get(),
@@ -2798,6 +2843,7 @@ impl<'p> PickHarness<'p> {
             pair_cache_evictions: 0,
             clear_repair_clears: self.st.clear_repair_clears.get(),
             clear_repair_visits: self.st.clear_repair_visits.get(),
+            sharer_entries: self.st.accel.sharer_entries(),
             index_migrations: 0,
             verify_checks: self.st.verify_checks.get(),
             sched_wall_ns: self.st.sched_wall_ns.get(),
@@ -3020,6 +3066,99 @@ mod tests {
         assert_eq!(s.restarts_total, 0);
         assert_eq!(s.miss_percent, 0.0, "an isolated txn meets any deadline");
         assert_eq!(s.mean_lateness_ms, 0.0);
+    }
+
+    /// An entry's fields, comparable in assertions (`HeapEntry` has no
+    /// `Debug`).
+    fn fields(entries: &[HeapEntry]) -> Vec<(TxnId, f64, SimTime)> {
+        entries.iter().map(|e| (e.id, e.pri.0, e.arrival)).collect()
+    }
+
+    /// Heap order over `slots`, and `pos` mapping every indexed id to
+    /// its slot (and nothing else).
+    fn assert_index_consistent(ix: &PriorityIndex) {
+        for i in 1..ix.slots.len() {
+            assert!(
+                ix.slots[i] <= ix.slots[(i - 1) / 2],
+                "heap order broken at {i}"
+            );
+        }
+        for (i, e) in ix.slots.iter().enumerate() {
+            assert_eq!(ix.pos[e.id.0 as usize], i as u32 + 1, "{}: stale pos", e.id);
+        }
+        let live = ix.pos.iter().filter(|&&p| p != 0).count();
+        assert_eq!(live, ix.slots.len(), "pos names an id with no slot");
+    }
+
+    #[test]
+    fn raise_all_matches_a_sorted_model_on_both_branches() {
+        // xorshift64: deterministic victim sets and raise amounts.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let n = 64;
+        let mut ix = PriorityIndex::default();
+        let mut model: Vec<HeapEntry> = Vec::new();
+        for id in 0..n {
+            let e = HeapEntry {
+                // Coarse keys force ties broken by arrival, then id.
+                pri: Priority(next(8) as f64),
+                arrival: SimTime::from_ms(next(4) as f64),
+                id: TxnId(id),
+            };
+            ix.insert(e);
+            model.push(e);
+        }
+        let (mut sifted, mut heapified) = (0, 0);
+        for round in 0..200 {
+            // Victim counts straddle the heapify threshold
+            // (k · log2(64) > 64 ⇔ k ≥ 11).
+            let k = 1 + next(if round % 2 == 0 { 10 } else { n as u64 }) as usize;
+            let mut ids: Vec<TxnId> = (0..n).map(TxnId).collect();
+            for i in 0..k {
+                let j = i + next((n as usize - i) as u64) as usize;
+                ids.swap(i, j);
+            }
+            ids.truncate(k);
+            let raise = next(5) as f64;
+            if k * 6 > n as usize {
+                heapified += 1;
+            } else {
+                sifted += 1;
+            }
+            ix.raise_all(&ids, |p| Priority(p.0 + raise));
+            for id in &ids {
+                model[id.0 as usize].pri.0 += raise;
+            }
+            assert_index_consistent(&ix);
+            let mut got = ix.entries().to_vec();
+            got.sort_unstable();
+            let mut want = model.clone();
+            want.sort_unstable();
+            assert_eq!(fields(&got), fields(&want), "round {round}: keys diverged");
+            assert_eq!(
+                ix.peek().map(|e| e.id),
+                want.last().map(|e| e.id),
+                "round {round}: wrong top"
+            );
+        }
+        assert!(
+            sifted > 0 && heapified > 0,
+            "{sifted} sifted, {heapified} heapified"
+        );
+        // Draining the index yields the model's total order.
+        let mut drained = Vec::new();
+        while let Some(top) = ix.peek() {
+            ix.remove(top.id);
+            assert_index_consistent(&ix);
+            drained.push(top);
+        }
+        model.sort_unstable_by(|a, b| b.cmp(a));
+        assert_eq!(fields(&drained), fields(&model));
     }
 
     #[test]

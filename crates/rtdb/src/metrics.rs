@@ -58,6 +58,11 @@ pub struct SchedStats {
     /// reverse index this scales with the cleared transaction's sharer
     /// set, not with MPL.
     pub clear_repair_visits: u64,
+    /// Reverse-index list entries read plus `active` slots scanned (each
+    /// weighted by the query's width in 64-bit words) while enumerating
+    /// sharers (clear-repair walks and admission counts): the
+    /// enumeration layer's work, whichever route each query took.
+    pub sharer_entries: u64,
     /// Always 0: the engine keeps one priority index, so no entry ever
     /// migrates between indexes. Kept so readers of the counter set
     /// (benchmark reports) keep their columns.

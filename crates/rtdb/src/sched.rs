@@ -12,7 +12,9 @@
 //!   walk to the transactions that share an item with it; each pair it
 //!   yields is tested directly (`conflicts_with`, `is_unsafe_with`) —
 //!   with the paper's small databases every set is one machine word, so
-//!   the test is a couple of ANDs and is never memoized.
+//!   the test is a couple of ANDs and is never memoized. Enumerating
+//!   those sharers picks the cheaper of two equivalent routes per query
+//!   (see `ConflictAccel::sharers`).
 //!
 //! Correctness contract: both maintained structures yield answers
 //! **bit-identical** to a fresh recomputation. The engine's
@@ -66,6 +68,9 @@ pub struct ConflictAccel {
     /// `item_txns`, diffed on reindex so membership updates touch only
     /// the items that changed.
     indexed_items: Vec<DataSet>,
+    /// Reverse-index list entries read plus `active` slot-words scanned
+    /// by [`Self::sharers`] — the deterministic cost of enumeration.
+    sharer_entries: Cell<u64>,
 }
 
 impl ConflictAccel {
@@ -75,6 +80,7 @@ impl ConflictAccel {
             pair_checks: Cell::new(0),
             item_txns: vec![Vec::new(); db_size],
             indexed_items: Vec::with_capacity(capacity),
+            sharer_entries: Cell::new(0),
         }
     }
 
@@ -136,7 +142,52 @@ impl ConflictAccel {
     /// predicates require a shared item between one side's
     /// `accessed`/`written`/`might_access` and the other's, and every
     /// such set is a subset of the registered `might_access`.
-    pub(crate) fn sharers(&self, items: &DataSet, out: &mut Vec<TxnId>) {
+    ///
+    /// `active` must hold every indexed transaction, strictly ascending
+    /// by id (the engine's active list). Two routes give the same
+    /// answer; the cheaper one is picked by comparing the list *volume*
+    /// `Σ |item_txns[i]|` over `items`, computed in O(|items|), with the
+    /// scan's cost, `active.len()` footprint tests of up to
+    /// `items.word_len()` words each:
+    ///
+    /// * volume larger (few hot items shared by most of the system):
+    ///   scan `active` and keep each transaction whose footprint
+    ///   intersects `items` — already in id order;
+    /// * otherwise concatenate the lists, sort and dedup.
+    ///
+    /// The chosen route's cost (list entries, or scanned slots × words)
+    /// is tallied in [`Self::sharer_entries`].
+    pub(crate) fn sharers(&self, items: &DataSet, active: &[TxnId], out: &mut Vec<TxnId>) {
+        let volume: usize = items
+            .iter()
+            .filter_map(|item| self.item_txns.get(item.0 as usize))
+            .map(Vec::len)
+            .sum();
+        let scan = active.len() * items.word_len().max(1);
+        let read = if volume > scan {
+            self.sharers_by_scan(items, active, out);
+            scan
+        } else {
+            self.sharers_by_walk(items, out);
+            volume
+        };
+        self.sharer_entries
+            .set(self.sharer_entries.get() + read as u64);
+    }
+
+    /// [`Self::sharers`] by filtering `active` on registered footprint.
+    pub(crate) fn sharers_by_scan(&self, items: &DataSet, active: &[TxnId], out: &mut Vec<TxnId>) {
+        out.clear();
+        out.extend(
+            active
+                .iter()
+                .copied()
+                .filter(|x| self.indexed_items[x.0 as usize].intersects(items)),
+        );
+    }
+
+    /// [`Self::sharers`] by walking `items`' reverse-index lists.
+    pub(crate) fn sharers_by_walk(&self, items: &DataSet, out: &mut Vec<TxnId>) {
         out.clear();
         for item in items.iter() {
             if let Some(list) = self.item_txns.get(item.0 as usize) {
@@ -203,6 +254,10 @@ impl ConflictAccel {
 
     pub(crate) fn pair_checks(&self) -> u64 {
         self.pair_checks.get()
+    }
+
+    pub(crate) fn sharer_entries(&self) -> u64 {
+        self.sharer_entries.get()
     }
 }
 
@@ -272,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_cache_invalidates_on_version_bump() {
+    fn is_unsafe_sees_access_growth_at_once() {
         let mut a = ConflictAccel::new(2, 64);
         a.register(TxnId(0));
         a.register(TxnId(1));
@@ -292,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn static_cache_is_symmetric_and_version_gated() {
+    fn conflicts_is_symmetric_and_sees_narrowing_at_once() {
         let mut a = ConflictAccel::new(2, 64);
         a.register(TxnId(0));
         a.register(TxnId(1));
@@ -314,26 +369,123 @@ mod tests {
         for i in 0..3 {
             a.register(TxnId(i));
         }
+        let mut active = vec![TxnId(0), TxnId(1), TxnId(2)];
         let mut out = Vec::new();
         a.reindex(TxnId(0), &DataSet::from_items([ItemId(1), ItemId(2)]));
         a.reindex(TxnId(1), &DataSet::from_items([ItemId(2), ItemId(3)]));
         a.reindex(TxnId(2), &DataSet::from_items([ItemId(9)]));
-        a.sharers(&DataSet::from_items([ItemId(2)]), &mut out);
+        a.sharers(&DataSet::from_items([ItemId(2)]), &active, &mut out);
         assert_eq!(out, vec![TxnId(0), TxnId(1)]);
         // Narrowing away from item 2 drops that membership only.
         a.reindex(TxnId(0), &DataSet::from_items([ItemId(1)]));
-        a.sharers(&DataSet::from_items([ItemId(2), ItemId(9)]), &mut out);
+        a.sharers(
+            &DataSet::from_items([ItemId(2), ItemId(9)]),
+            &active,
+            &mut out,
+        );
         assert_eq!(out, vec![TxnId(1), TxnId(2)]);
         // Departure empties all of the transaction's list memberships.
         a.drop_index(TxnId(1));
-        a.sharers(
-            &DataSet::from_items([ItemId(1), ItemId(2), ItemId(3)]),
-            &mut out,
-        );
+        active.retain(|&x| x != TxnId(1));
+        let items = DataSet::from_items([ItemId(1), ItemId(2), ItemId(3)]);
+        a.sharers(&items, &active, &mut out);
         assert_eq!(out, vec![TxnId(0)]);
         // Multi-item queries dedup across lists and stay id-ascending.
         a.reindex(TxnId(1), &DataSet::from_items([ItemId(1), ItemId(9)]));
-        a.sharers(&DataSet::from_items([ItemId(1), ItemId(9)]), &mut out);
+        active.insert(1, TxnId(1));
+        a.sharers(
+            &DataSet::from_items([ItemId(1), ItemId(9)]),
+            &active,
+            &mut out,
+        );
         assert_eq!(out, vec![TxnId(0), TxnId(1), TxnId(2)]);
+    }
+
+    /// `n` indexed transactions; transaction `i` registers `footprint(i)`.
+    fn indexed(n: u32, footprint: impl Fn(u32) -> Vec<u32>) -> (ConflictAccel, Vec<TxnId>) {
+        let mut a = ConflictAccel::new(n as usize, 256);
+        for i in 0..n {
+            a.register(TxnId(i));
+            let items = footprint(i).into_iter().map(ItemId).collect::<DataSet>();
+            a.reindex(TxnId(i), &items);
+        }
+        (a, (0..n).map(TxnId).collect())
+    }
+
+    fn both_routes(a: &ConflictAccel, items: &DataSet, active: &[TxnId]) -> Vec<TxnId> {
+        let (mut scan, mut walk) = (Vec::new(), Vec::new());
+        a.sharers_by_scan(items, active, &mut scan);
+        a.sharers_by_walk(items, &mut walk);
+        assert_eq!(scan, walk, "enumeration routes diverged");
+        scan
+    }
+
+    #[test]
+    fn hot_items_take_the_active_scan() {
+        // Txns 0–3 share items 0 and 1: the two lists hold 8 entries,
+        // more than the 6 active slots, so the scan is cheaper — and it
+        // keeps only the footprints that meet the query.
+        let (a, active) = indexed(6, |i| {
+            if i < 4 {
+                vec![0, 1, 10 + i]
+            } else {
+                vec![20 + i]
+            }
+        });
+        let items = DataSet::from_items([ItemId(0), ItemId(1)]);
+        let mut out = Vec::new();
+        a.sharers(&items, &active, &mut out);
+        assert_eq!(out, active[..4]);
+        assert_eq!(a.sharer_entries(), 6, "scan reads one slot per active txn");
+        assert_eq!(out, both_routes(&a, &items, &active));
+        let items = DataSet::from_items([ItemId(0), ItemId(1), ItemId(25), ItemId(63)]);
+        a.sharers(&items, &active, &mut out);
+        assert_eq!(out, vec![TxnId(0), TxnId(1), TxnId(2), TxnId(3), TxnId(5)]);
+        assert_eq!(a.sharer_entries(), 6 + 6);
+        assert_eq!(out, both_routes(&a, &items, &active));
+    }
+
+    #[test]
+    fn cold_items_take_the_list_walk() {
+        // Disjoint footprints, registered so the item lists come out of
+        // id order when concatenated: item 1 holds txn 3, item 5 txn 0.
+        let (a, active) = indexed(8, |i| vec![[5, 7, 9, 1, 11, 13, 15, 17][i as usize]]);
+        let items = DataSet::from_items([ItemId(1), ItemId(5)]);
+        let mut out = Vec::new();
+        a.sharers(&items, &active, &mut out);
+        assert_eq!(out, vec![TxnId(0), TxnId(3)], "sorted after the walk");
+        assert_eq!(
+            a.sharer_entries(),
+            2,
+            "walk reads one entry per list member"
+        );
+        assert_eq!(out, both_routes(&a, &items, &active));
+        // Overlapping lists are deduped: volume 3 ≤ 8 active.
+        let (a, active) = indexed(8, |i| if i < 2 { vec![2, 3] } else { vec![30 + i] });
+        let items = DataSet::from_items([ItemId(2), ItemId(3), ItemId(34)]);
+        a.sharers(&items, &active, &mut out);
+        assert_eq!(out, vec![TxnId(0), TxnId(1), TxnId(4)]);
+        assert_eq!(a.sharer_entries(), 5);
+        assert_eq!(out, both_routes(&a, &items, &active));
+    }
+
+    #[test]
+    fn wide_queries_weight_the_scan_by_words() {
+        // Txns 0–2 share items 0 and 1; txn 3 holds item 200 alone.
+        let (a, active) = indexed(4, |i| if i < 3 { vec![0, 1] } else { vec![200] });
+        let mut out = Vec::new();
+        // One word wide: 6 list entries outweigh 4 slot tests.
+        let narrow = DataSet::from_items([ItemId(0), ItemId(1)]);
+        a.sharers(&narrow, &active, &mut out);
+        assert_eq!(out, active[..3]);
+        assert_eq!(a.sharer_entries(), 4, "scanned 4 slots of 1 word");
+        // Item 200 widens the query to 4 words: 7 list entries beat
+        // 4 slots × 4 words, so the lists are walked.
+        let wide = DataSet::from_items([ItemId(0), ItemId(1), ItemId(200)]);
+        assert_eq!(wide.word_len(), 4);
+        a.sharers(&wide, &active, &mut out);
+        assert_eq!(out, active);
+        assert_eq!(a.sharer_entries(), 4 + 7, "walked 7 list entries");
+        assert_eq!(out, both_routes(&a, &wide, &active));
     }
 }
